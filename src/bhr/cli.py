@@ -43,16 +43,22 @@ def _default_brute_cap() -> int:
     return int(raw) if raw else search.DEFAULT_BRUTE_CAP
 
 
-def _parse_path(text: str) -> HamPath:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PathError(f"malformed path JSON: {exc}") from exc
-    if not isinstance(data, list) or not all(
-        isinstance(x, int) for x in data
-    ):
+def _json_path(data) -> HamPath:
+    # bool is a subclass of int, so test the exact type
+    if not isinstance(data, list) or not all(type(x) is int for x in data):
         raise PathError("path JSON must be a list of integers")
     return HamPath.of(data)
+
+
+def _load_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise PathError(f"malformed {what} JSON: {exc}") from exc
+
+
+def _parse_path(text: str) -> HamPath:
+    return _json_path(_load_json(text, "path"))
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -148,9 +154,15 @@ def cmd_x2x(args) -> int:
 
 def cmd_perf_grow(args) -> int:
     cert = _cert_from_args(args)
-    with open(args.parts) as fh:
-        data = json.load(fh)
-    parts = [HamPath.of(p) for p in data]
+    try:
+        with open(args.parts) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read parts file: {exc}") from exc
+    data = _load_json(text, "parts")
+    if not isinstance(data, list):
+        raise PathError("parts JSON must be a list of paths")
+    parts = [_json_path(p) for p in data]
     _emit_cert(args, growth.perf_grow(cert, args.x, parts))
     return EXIT_OK
 

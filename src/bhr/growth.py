@@ -1,13 +1,17 @@
 """The growth calculus: the grow step, iterated growth and splices.
 
-All operations take a Certificate, rebuild the path explicitly, and
-return a new Certificate whose multiset is recomputed from the path and
-checked against the operation's contract, so a successful return is
-itself a proof that the step is sound.
+Operations work on raw vertex lists and build the result path in one
+pass.  Growing k times at one point (x, m) turns every window endpoint w
+into the arithmetic run w, w+x, ..., w+kx, so a k-fold grow, the triple
+grow inside x2x_swap and the longer runs of perf_grow, splice_perfect
+and even_grow cost O(v + kx), not k rebuilds of the path.
 
-Grow-point bookkeeping after growing with (x, m): a known point (x', m')
-stays at m' if m' <= m and moves to m' + x otherwise.  Every remapped
-point is re-validated before it is kept.
+Grow-point bookkeeping: a known point (x', m') stays at m' if m' <= m
+and moves up by the number of inserted labels otherwise.  Relocated
+points are checked once, on the final path, and dropped if they fail.
+The returned Certificate is the single check of each result: it
+verifies the path against the operation's multiset and every declared
+point, so a successful return is itself a proof that the step is sound.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from .core import (
     HamPath,
     LengthMultiset,
     NotGrowableError,
-    cyclic_lengths,
+    PathError,
+    embed,
     growth_points,
     is_growable_at,
     is_perfect,
@@ -51,106 +56,122 @@ class GrowthSchedule:
         return cls(tuple(steps))
 
 
-def _remap_points(points, x: int, m: int, path: HamPath):
-    """Relocate grow points across a grow: m' <= m keeps its label,
-    m' > m shifts by x.  Every relocated point is re-validated and
-    silently dropped if it no longer passes; relocation usually
-    preserves growability, but an edge sitting exactly at the wrap
-    threshold can start lengthening once v grows, so preservation is
-    not universal.  A later step that needs a dropped point fails
-    loudly in point_for."""
-    remapped = []
-    for gp in points:
-        new_m = gp.m if gp.m <= m else gp.m + x
-        if is_growable_at(path, gp.x, new_m):
-            remapped.append(GrowPoint(gp.x, new_m))
-    return tuple(remapped)
+def _grown_vertices(path: HamPath, x: int, m: int, k: int) -> list[int]:
+    """Vertex list of k grows at (x, m), built in one pass.
 
-
-def _expect(cert_path: HamPath, expected: LengthMultiset, op: str) -> None:
-    realized = cyclic_lengths(cert_path)
-    if realized != expected:
-        raise NotGrowableError(
-            f"{op} produced {realized}, expected {expected}"
-        )
-
-
-def grow(cert: Certificate, x: int, m: int) -> Certificate:
-    """One grow step: embed into K_{v+x} and insert labels m+1..m+x.
-
-    Each lengthened pair is broken by inserting w + x next to its
-    window endpoint w: a straddling pair (y, z+x) becomes
-    (y, y+x, z+x), its reverse (z+x, y) becomes (z+x, y+x, y), and a
-    wrap-around pair (z, w) with both endpoints fixed becomes
-    (z, w+x, w).  Orientation follows the path, so the result is
-    deterministic.
+    Each lengthened pair (a, b) has one window endpoint w.  Growing once
+    inserts w + x next to w; growing again at m lengthens the new edge
+    (w, w + x) and inserts w + x next to w once more, pushing the earlier
+    label out to w + 2x.  So k grows insert the run w + x, ..., w + kx
+    between the pair's endpoints, ordered outward from w, and shift every
+    label above m by kx.
     """
-    path = cert.path
-    v = path.v
+    if k < 0:
+        raise ValueError(f"grow count k={k} must be nonnegative")
     if not is_growable_at(path, x, m):
         raise NotGrowableError(f"path is not {x}-growable at {m}")
-
-    window = range(m - x + 1, m + 1)
-    pending = {}
+    lo = m - x + 1
+    shift = k * x
+    runs = {}
     for a, b in lengthened_pairs(path, x, m):
-        hits = [t for t in (a, b) if t in window]
-        if len(hits) != 1:
-            raise NotGrowableError(
-                f"lengthened pair ({a}, {b}) has no unique window endpoint"
-            )
-        if (a, b) in pending:
-            raise NotGrowableError(f"pair ({a}, {b}) lengthened twice")
-        pending[(a, b)] = hits[0]
+        if lo <= a <= m:
+            runs[(a, b)] = range(a + x, a + shift + 1, x)
+        else:
+            runs[(a, b)] = range(b + shift, b, -x)
+    vs = path.vertices
+    out = [vs[0] if vs[0] <= m else vs[0] + shift]
+    for pair in path.pairs():
+        run = runs.get(pair)
+        if run is not None:
+            out.extend(run)
+        b = pair[1]
+        out.append(b if b <= m else b + shift)
+    return out
 
-    def img(y):
-        return y if y <= m else y + x
 
-    new_vertices = [img(path.vertices[0])]
-    for a, b in path.pairs():
-        if (a, b) in pending:
-            new_vertices.append(pending[(a, b)] + x)
-        new_vertices.append(img(b))
-    new_path = HamPath.of(new_vertices)
+def _relocated(points, m: int, shift: int) -> list[GrowPoint]:
+    """Grow points moved across grows at m that added shift labels:
+    m' <= m keeps its label, m' > m moves up by shift."""
+    return [GrowPoint(gp.x, embed(gp.m, shift, m)) for gp in points]
 
-    expected = cert.multiset.add_copies(x, x)
-    _expect(new_path, expected, "grow")
-    return Certificate(
-        path=new_path,
-        multiset=expected,
-        grow_points=_remap_points(cert.grow_points, x, m, new_path),
-        trace=cert.with_step("grow", x=x, m=m),
+
+def _surviving(path: HamPath, points) -> tuple[GrowPoint, ...]:
+    """The relocated points that still hold on the final path.
+
+    Relocation usually preserves growability, but an edge sitting
+    exactly at the wrap threshold can start lengthening once v grows,
+    so a point that fails is silently dropped.  A later step that needs
+    it fails loudly in point_for.
+    """
+    return tuple(gp for gp in points if is_growable_at(path, gp.x, gp.m))
+
+
+def _certify(path, expected, points, trace, op: str) -> Certificate:
+    """The one check of an operation's result: the Certificate verifies
+    the path against expected and every declared point.  A multiset
+    mismatch means the construction does not apply to this input and is
+    reported as NotGrowableError."""
+    try:
+        return Certificate(path, expected, points, trace)
+    except PathError as exc:
+        raise NotGrowableError(f"{op}: {exc}") from exc
+
+
+def _grow_steps(x: int, m: int, k: int) -> tuple[tuple[str, dict], ...]:
+    """Trace of k grows at (x, m): one shared entry, repeated."""
+    return (("grow", {"x": x, "m": m}),) * k
+
+
+def grow(cert: Certificate, x: int, m: int, k: int = 1) -> Certificate:
+    """k grow steps at (x, m): embed into K_{v+kx}, insert m+1..m+kx.
+
+    Each lengthened pair is broken by inserting the run w+x, ..., w+kx
+    next to its window endpoint w, ordered outward from w: a straddling
+    pair (y, z) becomes (y, y+x, ..., y+kx, z+kx), its reverse
+    (z, y) becomes (z+kx, y+kx, ..., y+x, y), and a wrap-around pair
+    (z, w) with both endpoints fixed becomes (z, w+kx, ..., w+x, w).
+    The result equals k single grows at the same point, built in one
+    pass: the lengthened pairs are computed once, on the input path.
+
+    Known grow points are relocated by kx and checked once, on the
+    final path; those that fail are dropped.  The returned Certificate
+    is the single check of the new path.
+    """
+    path = HamPath.of(_grown_vertices(cert.path, x, m, k))
+    return _certify(
+        path,
+        cert.multiset.add_copies(x, k * x),
+        _surviving(path, _relocated(cert.grow_points, m, k * x)),
+        cert.trace + _grow_steps(x, m, k),
+        "grow",
     )
 
 
 def multi_grow(cert: Certificate, schedule: GrowthSchedule) -> Certificate:
-    """Apply the schedule left-to-right, reusing the tracked grow point."""
+    """Apply the schedule left-to-right, each step as one k-fold grow
+    at the tracked grow point."""
     for index, (x, count) in enumerate(schedule.steps):
-        for _ in range(count):
-            try:
-                cert = grow(cert, x, cert.point_for(x).m)
-            except NotGrowableError as exc:
-                raise NotGrowableError(
-                    f"schedule step {index} (x={x}): {exc}"
-                ) from exc
+        if not count:
+            continue
+        try:
+            cert = grow(cert, x, cert.point_for(x).m, count)
+        except NotGrowableError as exc:
+            raise NotGrowableError(
+                f"schedule step {index} (x={x}): {exc}"
+            ) from exc
     return cert
 
 
-def _substitute(path: HamPath, values: list[int], repl: list[int]) -> HamPath:
-    """Replace the (possibly reversed) run of values with repl.
+def _substitute(vs: list[int], values: list[int], repl: list[int]):
+    """Replace the (possibly reversed) run of values in the vertex list
+    vs with repl.
 
     repl must have the same endpoints as values so the boundary edges
-    keep their lengths; interior elements may differ.
+    keep their lengths; interior elements may differ.  The list is not
+    validated here: two replacements may only restore a permutation
+    jointly, and the operation's Certificate checks the final path.
     """
-    vs = _substitute_raw(list(path.vertices), values, repl)
-    return HamPath.of(vs)
-
-
-def _substitute_raw(vs: list[int], values: list[int], repl: list[int]):
-    """Run replacement on a raw vertex list, deferring validation.
-
-    Needed when two replacements only restore a permutation jointly."""
-    pos = {label: i for i, label in enumerate(vs)}
-    i = pos[values[0]]
+    i = vs.index(values[0])
     n = len(values)
     if vs[i : i + n] == values:
         return vs[:i] + repl + vs[i + n :]
@@ -169,23 +190,21 @@ def splice_perfect(cert: Certificate, k_real: HamPath) -> Certificate:
     if not is_perfect(k_real):
         raise NotGrowableError("k_real must be a perfect linear realization")
     k = k_real.v - 1
-    gp = cert.point_for(1)
-    for _ in range(k):
-        cert = grow(cert, 1, gp.m)
-    run = list(range(gp.m, gp.m + k + 1))
-    new_path = _substitute(cert.path, run, translate(k_real.vertices, gp.m))
-
-    spliced = linear_diffs(k_real)
-    # cert.multiset currently holds L + {1^k}; swap those 1s for K.
-    counts = cert.multiset.counts()
-    counts[1] -= k
-    expected = LengthMultiset.from_counts(counts) + spliced
-    _expect(new_path, expected, "splice_perfect")
-    return Certificate(
-        path=new_path,
-        multiset=expected,
-        grow_points=tuple(growth_points(new_path)),
-        trace=cert.with_step("splice", k_real=list(k_real.vertices)),
+    m = cert.point_for(1).m
+    vs = _grown_vertices(cert.path, 1, m, k)
+    vs = _substitute(
+        vs, list(range(m, m + k + 1)), translate(k_real.vertices, m)
+    )
+    path = HamPath.of(vs)
+    return _certify(
+        path,
+        # the k grown 1s are overwritten by K
+        cert.multiset + linear_diffs(k_real),
+        tuple(growth_points(path)),
+        cert.trace
+        + _grow_steps(1, m, k)
+        + (("splice", {"k_real": list(k_real.vertices)}),),
+        "splice_perfect",
     )
 
 
@@ -211,18 +230,17 @@ def even_grow(cert: Certificate, y: int, z: int) -> Certificate:
     Grows 2s until two interleaved arithmetic runs cover the new labels,
     then rewrites the runs with two explicit sequences whose lengths are
     {1^(y-2), y^(y-1), z^2} and {1^(z-2), y^2, z^(z-1)}.  The result is
-    y-growable at m+y-1 and z-growable at m+2y+z-2.
+    y-growable at m+y-1 and z-growable at m+2y+z-2; the input's points
+    (the consumed 2-point included) are relocated and kept where they
+    still hold.
     """
     if y % 2 or z % 2:
         raise NotGrowableError("y and z must be even")
     if y < 4 or z < 4:
         raise NotGrowableError("y and z must be at least 4")
-    gp = cert.point_for(2)
-    m = gp.m
-    base = cert.multiset
-    others = tuple(p for p in cert.grow_points if p != gp)
-    for _ in range(y + z - 1):
-        cert = grow(cert, 2, m)
+    m = cert.point_for(2).m
+    k = y + z - 1
+    vs = _grown_vertices(cert.path, 2, m, k)
 
     run_a = list(range(m, m + 2 * y + 2 * z - 1, 2))
     run_b = list(range(m - 1, m + 2 * y + 2 * z - 2, 2))
@@ -232,34 +250,29 @@ def even_grow(cert: Certificate, y: int, z: int) -> Certificate:
         list(range(2 * y, 2 * y + z - 1)),
         list(range(2 * y + z, 2 * y + 2 * z - 1)),
     )
-    # the two replacement sequences only restore a permutation jointly,
-    # so both substitutions happen before the path is validated
-    vs = _substitute_raw(list(cert.path.vertices), run_a, translate(g, m - 1))
-    vs = _substitute_raw(vs, run_b, translate(h, m - 1))
-    new_path = HamPath.of(vs)
+    vs = _substitute(vs, run_a, translate(g, m - 1))
+    vs = _substitute(vs, run_b, translate(h, m - 1))
 
-    expected = base + LengthMultiset.from_counts(
+    added = LengthMultiset.from_counts(
         {1: y + z - 4, y: y + 1, z: z + 1}
         if y != z
         else {1: y + z - 4, y: 2 * y + 2}
     )
-    _expect(new_path, expected, "even_grow")
-    points = [GrowPoint(y, m + y - 1), GrowPoint(z, m + 2 * y + z - 2)]
-    for p in points:
-        if not is_growable_at(new_path, p.x, p.m):
-            raise NotGrowableError(f"even_grow point ({p.x}, {p.m}) fails")
-    # relocated carried-over points (the consumed 2-point included) are
-    # re-validated and dropped on failure, matching grow's semantics
-    shift = 2 * (y + z - 1)
-    for p in others + (gp,):
-        cand = GrowPoint(p.x, p.m if p.m <= m else p.m + shift)
-        if cand not in points and is_growable_at(new_path, cand.x, cand.m):
-            points.append(cand)
-    return Certificate(
-        path=new_path,
-        multiset=expected,
-        grow_points=tuple(sorted(points)),
-        trace=cert.with_step("even_grow", y=y, z=z),
+    new_points = [GrowPoint(y, m + y - 1), GrowPoint(z, m + 2 * y + z - 2)]
+    # the new points are declared, so the Certificate rejects a failing
+    # one; carried-over points are dropped on failure, as in grow
+    path = HamPath.of(vs)
+    carried = _surviving(
+        path,
+        [p for p in _relocated(cert.grow_points, m, 2 * k)
+         if p not in new_points],
+    )
+    return _certify(
+        path,
+        cert.multiset + added,
+        tuple(sorted(new_points + list(carried))),
+        cert.trace + _grow_steps(2, m, k) + (("even_grow", {"y": y, "z": z}),),
+        "even_grow",
     )
 
 
@@ -272,37 +285,24 @@ def x2x_swap(cert: Certificate, x: int, i: int) -> Certificate:
     """
     if not (0 <= i <= x):
         raise NotGrowableError(f"i={i} out of range 0..{x}")
-    gp = cert.point_for(x)
-    m = gp.m
-    base = cert.multiset
-    for _ in range(3):
-        cert = grow(cert, x, m)
-    new_path = cert.path
+    m = cert.point_for(x).m
+    vs = _grown_vertices(cert.path, x, m, 3)
     for t in range(i):
         start = m + 1 - x + t
         run = [start, start + x, start + 2 * x, start + 3 * x]
         swapped = [start, start + 2 * x, start + x, start + 3 * x]
-        new_path = _substitute(new_path, run, swapped)
+        vs = _substitute(vs, run, swapped)
 
     added = {x: 3 * x - 2 * i}
     if i:
         added[2 * x] = 2 * i
-    expected = base + LengthMultiset.from_counts(added)
-    _expect(new_path, expected, "x2x_swap")
-    points = _remap_points_after_block(cert.grow_points, new_path)
-    return Certificate(
-        path=new_path,
-        multiset=expected,
-        grow_points=points,
-        trace=cert.with_step("x2x_swap", x=x, i=i),
-    )
-
-
-def _remap_points_after_block(points, path: HamPath):
-    """Re-validate already-relocated points after an in-place rewrite,
-    dropping any the rewrite broke (see _remap_points)."""
-    return tuple(
-        gp for gp in points if is_growable_at(path, gp.x, gp.m)
+    path = HamPath.of(vs)
+    return _certify(
+        path,
+        cert.multiset + LengthMultiset.from_counts(added),
+        _surviving(path, _relocated(cert.grow_points, m, 3 * x)),
+        cert.trace + _grow_steps(x, m, 3) + (("x2x_swap", {"x": x, "i": i}),),
+        "x2x_swap",
     )
 
 
@@ -321,26 +321,21 @@ def perf_grow(cert: Certificate, x: int, parts) -> Certificate:
             raise NotGrowableError("parts must all have the same length")
         if not is_perfect(p):
             raise NotGrowableError(f"part {list(p.vertices)} is not perfect")
-    gp = cert.point_for(x)
-    m = gp.m
-    base = cert.multiset
-    for _ in range(k):
-        cert = grow(cert, x, m)
-    new_path = cert.path
-    expected = base
+    m = cert.point_for(x).m
+    vs = _grown_vertices(cert.path, x, m, k)
+    expected = cert.multiset
     for t, part in enumerate(parts):
         start = m + 1 - x + t
         run = [start + j * x for j in range(k + 1)]
         repl = translate([x * e for e in part.vertices], start)
-        new_path = _substitute(new_path, run, repl)
+        vs = _substitute(vs, run, repl)
         expected = expected + linear_diffs(part).scale(x)
-    _expect(new_path, expected, "perf_grow")
-    points = _remap_points_after_block(cert.grow_points, new_path)
-    return Certificate(
-        path=new_path,
-        multiset=expected,
-        grow_points=points,
-        trace=cert.with_step(
-            "perf_grow", x=x, parts=[list(p.vertices) for p in parts]
-        ),
+    path = HamPath.of(vs)
+    step = ("perf_grow", {"x": x, "parts": [list(p.vertices) for p in parts]})
+    return _certify(
+        path,
+        expected,
+        _surviving(path, _relocated(cert.grow_points, m, k * x)),
+        cert.trace + _grow_steps(x, m, k) + (step,),
+        "perf_grow",
     )

@@ -34,15 +34,12 @@ class SearchConfig:
     rng_seed: int = 0
     max_restarts: int = 200
     max_steps_per_restart: int = 2000
-    parallel_restarts: int = 1
 
     def __post_init__(self):
         if self.max_restarts < 1:
             raise ValueError("max_restarts must be positive")
         if self.max_steps_per_restart < 1:
             raise ValueError("max_steps_per_restart must be positive")
-        if self.parallel_restarts < 1:
-            raise ValueError("parallel_restarts must be positive")
 
 
 def _overlap(target: dict[int, int], realized: dict[int, int]) -> int:

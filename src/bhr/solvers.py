@@ -226,11 +226,25 @@ def _counts_ms(counts: dict[int, int]) -> LengthMultiset:
     return LengthMultiset.from_counts({l: c for l, c in counts.items() if c})
 
 
+def _mults(ms: LengthMultiset, *lengths: int) -> tuple[int, ...]:
+    counts = ms.counts()
+    return tuple(counts.get(l, 0) for l in lengths)
+
+
+# Each public solve_* driver builds its target from the multiplicities
+# and runs the matching _u* body; solve() calls the bodies with the
+# multiset it was given, so an answer holds no second copy of it.
+
+
 def solve_u123(
     a: int, b: int, c: int, fallback=False, cfg=None, brute_cap=None
 ) -> SolveOutcome:
     """{1^a, 2^b, 3^c}; proof replay needs a, b, c >= 1."""
-    ms = _counts_ms({1: a, 2: b, 3: c})
+    return _u123(_counts_ms({1: a, 2: b, 3: c}), fallback, cfg, brute_cap)
+
+
+def _u123(ms, fallback, cfg, brute_cap) -> SolveOutcome:
+    a, b, c = _mults(ms, 1, 2, 3)
     adm = is_admissible(ms)
     if not adm.ok:
         return _not_admissible(adm)
@@ -246,7 +260,11 @@ def solve_u145(
     a: int, b: int, c: int, fallback=False, cfg=None, brute_cap=None
 ) -> SolveOutcome:
     """{1^a, 4^b, 5^c}; proof replay needs a, b, c >= 1."""
-    ms = _counts_ms({1: a, 4: b, 5: c})
+    return _u145(_counts_ms({1: a, 4: b, 5: c}), fallback, cfg, brute_cap)
+
+
+def _u145(ms, fallback, cfg, brute_cap) -> SolveOutcome:
+    a, b, c = _mults(ms, 1, 4, 5)
     adm = is_admissible(ms)
     if not adm.ok:
         return _not_admissible(adm)
@@ -266,7 +284,13 @@ def solve_u1234(
     a: int, b: int, c: int, d: int, fallback=False, cfg=None, brute_cap=None
 ) -> SolveOutcome:
     """{1^a, 2^b, 3^c, 4^d}: the full decision tree over a."""
-    ms = _counts_ms({1: a, 2: b, 3: c, 4: d})
+    return _u1234(
+        _counts_ms({1: a, 2: b, 3: c, 4: d}), fallback, cfg, brute_cap
+    )
+
+
+def _u1234(ms, fallback, cfg, brute_cap) -> SolveOutcome:
+    a, b, c, d = _mults(ms, 1, 2, 3, 4)
     adm = is_admissible(ms)
     if not adm.ok:
         return _not_admissible(adm)
@@ -274,7 +298,7 @@ def solve_u1234(
         return _external(ms, cfg, brute_cap, "underlying set of size <= 2")
     if d == 0:
         if min(a, b, c) >= 1:
-            return solve_u123(a, b, c, fallback, cfg, brute_cap)
+            return _u123(ms, fallback, cfg, brute_cap)
         return _external(ms, cfg, brute_cap, "underlying set smaller than 3")
     if c == 0:
         return _external(ms, cfg, brute_cap, "no 3's: subset of {1,2,4}")
@@ -338,7 +362,11 @@ def solve_136(
     Proven range: a >= 1 and b >= 13 + c/2 (even c) or
     b >= 18 + (c-1)/2 (odd c).
     """
-    ms = _counts_ms({1: a, 3: b, 6: c})
+    return _u136(_counts_ms({1: a, 3: b, 6: c}), fallback, cfg, brute_cap)
+
+
+def _u136(ms, fallback, cfg, brute_cap) -> SolveOutcome:
+    a, b, c = _mults(ms, 1, 3, 6)
     adm = is_admissible(ms)
     if not adm.ok:
         return _not_admissible(adm)
@@ -388,7 +416,13 @@ def solve_1x2x(
     """
     if x < 4:
         raise ValueError("solve_1x2x needs x >= 4")
-    ms = _counts_ms({1: a, x: b, 2 * x: c})
+    return _u1x2x(
+        _counts_ms({1: a, x: b, 2 * x: c}), x, fallback, cfg, brute_cap
+    )
+
+
+def _u1x2x(ms, x, fallback, cfg, brute_cap) -> SolveOutcome:
+    a, b, c = _mults(ms, 1, x, 2 * x)
     adm = is_admissible(ms)
     if not adm.ok:
         return _not_admissible(adm)
@@ -456,26 +490,19 @@ def solve(
     if not adm.ok:
         return _not_admissible(adm)
     u = set(ms.underlying_set)
-    counts = ms.counts()
     args = (fallback, cfg, brute_cap)
     if u == {1, 2, 3}:
-        return solve_u123(counts[1], counts[2], counts[3], *args)
+        return _u123(ms, *args)
     if u == {1, 4, 5}:
-        return solve_u145(counts[1], counts[4], counts[5], *args)
+        return _u145(ms, *args)
     if u <= {1, 2, 3, 4}:
-        return solve_u1234(
-            counts.get(1, 0),
-            counts.get(2, 0),
-            counts.get(3, 0),
-            counts.get(4, 0),
-            *args,
-        )
+        return _u1234(ms, *args)
     if u == {1, 3, 6}:
-        return solve_136(counts[1], counts[3], counts[6], *args)
+        return _u136(ms, *args)
     if len(u) == 3 and 1 in u:
         x = sorted(u)[1]
         if x >= 4 and u == {1, x, 2 * x}:
-            return solve_1x2x(counts[1], counts[x], counts[2 * x], x, *args)
+            return _u1x2x(ms, x, *args)
     if len(u) <= 2:
         return _external(ms, cfg, brute_cap, "underlying set of size <= 2")
     return _out_of_range(

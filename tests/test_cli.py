@@ -159,3 +159,55 @@ def test_x2x_and_splice(capsys):
     )
     assert code == EXIT_OK
     assert json.loads(out)["multiset"] == "1^5 2^3 3^8 4"
+
+
+def test_path_json_rejects_bools(capsys):
+    # bool is an int subclass; [true, 0] must not pass for [1, 0]
+    code, out, err = run(
+        capsys, "verify", "--path", "[true,0]", "--multiset", "1"
+    )
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:")
+    code, _, err = run(
+        capsys, "grow", "--path", "[0, false]", "--at", "1,0"
+    )
+    assert code == EXIT_USAGE and err.startswith("error:")
+
+
+G1 = "[6, 5, 1, 4, 0, 3, 2]"
+
+
+def test_perf_grow_missing_parts_file(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(
+        capsys, "perf-grow", "--path", G1, "--x", "3",
+        "--parts", str(missing),
+    )
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_perf_grow_parts_validation(capsys, tmp_path):
+    parts = tmp_path / "parts.json"
+
+    def perf_grow(text):
+        parts.write_text(text)
+        return run(
+            capsys, "perf-grow", "--path", G1, "--x", "3",
+            "--parts", str(parts), "--json",
+        )
+
+    code, out, _ = perf_grow("[[0, 2, 1, 3], [0, 1, 2, 3], [0, 1, 2, 3]]")
+    assert code == EXIT_OK
+    assert json.loads(out)["multiset"] == "1^2 3^11 6^2"
+    for bad in (
+        "[[0, 2, 1, 3], [0, true, 2, 3], [0, 1, 2, 3]]",
+        "[[0, 2, 1, 3], [0, 1.0, 2, 3], [0, 1, 2, 3]]",
+        '{"parts": [[0, 1, 2, 3]]}',
+        "[[0, 2, 1, 3], 5, [0, 1, 2, 3]]",
+        "[[0, 2, 1, 3",
+    ):
+        code, out, err = perf_grow(bad)
+        assert code == EXIT_USAGE, bad
+        assert out == "" and err.startswith("error:"), bad

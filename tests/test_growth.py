@@ -1,12 +1,23 @@
+import random
+
 import pytest
 
 from bhr import seeds
 from bhr.core import (
+    Certificate,
+    GrowPoint,
     HamPath,
     LengthMultiset,
     NotGrowableError,
+    PathError,
     certificate,
+    cyclic_lengths,
+    embed,
+    growth_points,
+    is_growable_at,
+    lengthened_pairs,
     linear_diffs,
+    translate,
 )
 from bhr.growth import (
     GrowthSchedule,
@@ -152,3 +163,260 @@ def test_grow_soundness_over_seed_tables():
             grown = grow(cert, gp.x, gp.m)
             assert grown.multiset == cert.multiset.add_copies(gp.x, gp.x)
             assert linear_diffs(grown.path) is not None
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the one-pass k-fold grow and the operations built on
+# it against a reference that grows one step at a time, as the
+# construction is stated: each step embeds the path, inserts w + x next
+# to the window endpoint w of every lengthened pair, re-checks the
+# multiset and re-validates every relocated grow point.
+
+
+def _ref_certify(path, ms, points, trace):
+    if cyclic_lengths(path) != ms:
+        raise NotGrowableError("reference: multiset mismatch")
+    kept = tuple(p for p in points if is_growable_at(path, p.x, p.m))
+    return Certificate(path, ms, kept, trace)
+
+
+def _ref_grow_once(cert, x, m):
+    path = cert.path
+    if not is_growable_at(path, x, m):
+        raise NotGrowableError(f"reference: not {x}-growable at {m}")
+    window = range(m - x + 1, m + 1)
+    lengthened = set(lengthened_pairs(path, x, m))
+    out = [embed(path.vertices[0], x, m)]
+    for a, b in path.pairs():
+        if (a, b) in lengthened:
+            out.append((a if a in window else b) + x)
+        out.append(embed(b, x, m))
+    return _ref_certify(
+        HamPath.of(out),
+        cert.multiset.add_copies(x, x),
+        [GrowPoint(p.x, embed(p.m, x, m)) for p in cert.grow_points],
+        cert.trace + (("grow", {"x": x, "m": m}),),
+    )
+
+
+def _ref_grow(cert, x, k):
+    """k single grows, each at the tracked point point_for(x)."""
+    for _ in range(k):
+        cert = _ref_grow_once(cert, x, cert.point_for(x).m)
+    return cert
+
+
+def _ref_substitute(vs, values, repl):
+    n = len(values)
+    for i in range(len(vs) - n + 1):
+        if vs[i : i + n] == values:
+            return vs[:i] + repl + vs[i + n :]
+        if vs[i : i + n] == values[::-1]:
+            return vs[:i] + repl[::-1] + vs[i + n :]
+    raise NotGrowableError("reference: run not found")
+
+
+def _ref_multi_grow(cert, steps):
+    for x, count in steps:
+        cert = _ref_grow(cert, x, count)
+    return cert
+
+
+def _ref_runs_op(cert, x, k, runs, added, step):
+    """k grows at x, then rewrite arithmetic runs: runs[t] replaces the
+    run starting at m+1-x+t."""
+    m = cert.point_for(x).m
+    grown = _ref_grow(cert, x, k)
+    vs = list(grown.path.vertices)
+    for t, repl in enumerate(runs):
+        start = m + 1 - x + t
+        vs = _ref_substitute(
+            vs, [start + j * x for j in range(k + 1)], translate(repl, start)
+        )
+    return _ref_certify(
+        HamPath.of(vs), cert.multiset + added, grown.grow_points,
+        grown.trace + (step,),
+    )
+
+
+def _ref_x2x(cert, x, i):
+    added = {x: 3 * x - 2 * i}
+    if i:
+        added[2 * x] = 2 * i
+    runs = [[0, 2 * x, x, 3 * x]] * i
+    return _ref_runs_op(
+        cert, x, 3, runs, LengthMultiset.from_counts(added),
+        ("x2x_swap", {"x": x, "i": i}),
+    )
+
+
+def _ref_perf_grow(cert, x, parts):
+    added = LengthMultiset(())
+    for p in parts:
+        added = added + linear_diffs(HamPath.of(p)).scale(x)
+    return _ref_runs_op(
+        cert, x, len(parts[0]) - 1, [[x * e for e in p] for p in parts],
+        added, ("perf_grow", {"x": x, "parts": parts}),
+    )
+
+
+def _ref_splice(cert, k_real):
+    k = len(k_real) - 1
+    m = cert.point_for(1).m
+    grown = _ref_grow(cert, 1, k)
+    vs = _ref_substitute(
+        list(grown.path.vertices), list(range(m, m + k + 1)),
+        translate(k_real, m),
+    )
+    path = HamPath.of(vs)
+    cert2 = _ref_certify(
+        path, cert.multiset + linear_diffs(HamPath.of(k_real)), [],
+        grown.trace + (("splice", {"k_real": k_real}),),
+    )
+    return Certificate(
+        path, cert2.multiset, tuple(growth_points(path)), cert2.trace
+    )
+
+
+def _ref_zigzag(lows, highs):
+    out = []
+    for j in range(0, len(lows) - 1, 2):
+        out += [lows[j], highs[j], highs[j + 1], lows[j + 1]]
+    return out + [lows[-1], highs[-1]]
+
+
+def _ref_even_grow(cert, y, z):
+    m = cert.point_for(2).m
+    grown = _ref_grow(cert, 2, y + z - 1)
+    g = _ref_zigzag(range(1, y), range(y + 1, 2 * y))
+    g += [2 * y + z - 1, 2 * y + 2 * z - 1]
+    h = [0, y] + _ref_zigzag(
+        range(2 * y, 2 * y + z - 1), range(2 * y + z, 2 * y + 2 * z - 1)
+    )
+    vs = list(grown.path.vertices)
+    vs = _ref_substitute(
+        vs, list(range(m, m + 2 * y + 2 * z - 1, 2)), translate(g, m - 1)
+    )
+    vs = _ref_substitute(
+        vs, list(range(m - 1, m + 2 * y + 2 * z - 2, 2)), translate(h, m - 1)
+    )
+    path = HamPath.of(vs)
+    added = LengthMultiset(())
+    for length, count in ((1, y + z - 4), (y, y + 1), (z, z + 1)):
+        added = added.add_copies(length, count)
+    new = [GrowPoint(y, m + y - 1), GrowPoint(z, m + 2 * y + z - 2)]
+    for p in new:
+        if not is_growable_at(path, p.x, p.m):
+            raise NotGrowableError("reference: new point fails")
+    shift = 2 * (y + z - 1)
+    carried = [
+        GrowPoint(p.x, p.m if p.m <= m else p.m + shift)
+        for p in cert.grow_points
+    ]
+    carried = [p for p in carried if p not in new]
+    cert2 = _ref_certify(
+        path, cert.multiset + added, carried,
+        grown.trace + (("even_grow", {"y": y, "z": z}),),
+    )
+    return Certificate(
+        path, cert2.multiset, tuple(sorted(new + list(cert2.grow_points))),
+        cert2.trace,
+    )
+
+
+def _outcome(fn, *args):
+    """What an operation returns, or the name of what it raised."""
+    try:
+        c = fn(*args)
+    except (NotGrowableError, PathError, ValueError) as exc:
+        return type(exc).__name__
+    return (c.path, c.grow_points, c.multiset, c.trace)
+
+
+def _with_point_first(cert, gp):
+    """cert declaring gp first, so that point_for(gp.x) tracks it."""
+    rest = tuple(p for p in cert.grow_points if p != gp)
+    return Certificate(cert.path, cert.multiset, (gp,) + rest, cert.trace)
+
+
+def _seed_certs():
+    return [_cert(e) for e in seeds.iter_seeds() if e.declared_grow_points]
+
+
+def test_k_fold_grow_matches_single_grows_on_every_seed():
+    cases = 0
+    for cert in _seed_certs():
+        for gp in cert.grow_points:
+            start = _with_point_first(cert, gp)
+            for k in range(1, 9):
+                want = _outcome(_ref_grow, start, gp.x, k)
+                got = _outcome(grow, start, gp.x, gp.m, k)
+                assert got == want, (start.path.vertices, gp, k)
+                cases += 1
+    assert cases > 2000
+
+
+def test_k_fold_grow_matches_single_grows_on_random_chains():
+    rng = random.Random(2024)
+    certs = _seed_certs()
+    dropped = 0
+    for _ in range(2000):
+        cert = rng.choice(certs)
+        for _ in range(rng.randint(1, 3)):
+            x = rng.choice(cert.grow_points).x
+            k = rng.randint(2, 9)
+            want = _outcome(_ref_grow, cert, x, k)
+            got = _outcome(grow, cert, x, cert.point_for(x).m, k)
+            assert got == want, (cert.path.vertices, x, k)
+            if isinstance(got, str):
+                break
+            dropped += len(got[1]) < len(cert.grow_points)
+            cert = grow(cert, x, cert.point_for(x).m, k)
+            if not cert.grow_points or cert.path.v > 200:
+                break
+    # the chains reach the wrap-threshold case that drops a point
+    assert dropped > 0
+
+
+def _perfect(rng, k):
+    inner = list(range(1, k))
+    rng.shuffle(inner)
+    return [0] + inner + [k]
+
+
+def test_operations_match_single_grow_reference():
+    rng = random.Random(7)
+    certs = _seed_certs()
+    by_x = {}
+    for cert in certs:
+        for gp in cert.grow_points:
+            by_x.setdefault(gp.x, []).append(cert)
+    xs = sorted(by_x)
+    results = []
+    for _ in range(300):
+        cert = rng.choice(certs)
+        steps = [
+            (rng.choice(cert.grow_points).x, rng.randint(0, 4))
+            for _ in range(rng.randint(1, 3))
+        ]
+        results.append(_outcome(_ref_multi_grow, cert, steps)
+                       == _outcome(multi_grow, cert,
+                                   GrowthSchedule(tuple(steps))))
+        x = rng.choice([x for x in xs if x >= 2])
+        cert = rng.choice(by_x[x])
+        i = rng.randint(0, x)
+        results.append(_outcome(_ref_x2x, cert, x, i)
+                       == _outcome(x2x_swap, cert, x, i))
+        k = rng.randint(1, 5)
+        parts = [_perfect(rng, k) for _ in range(x)]
+        results.append(_outcome(_ref_perf_grow, cert, x, parts)
+                       == _outcome(perf_grow, cert, x, parts))
+        cert = rng.choice(by_x[1])
+        k_real = _perfect(rng, rng.randint(1, 6))
+        results.append(_outcome(_ref_splice, cert, k_real)
+                       == _outcome(splice_perfect, cert, HamPath.of(k_real)))
+        cert = rng.choice(by_x[2])
+        y, z = rng.choice((4, 6, 8)), rng.choice((4, 6, 8))
+        results.append(_outcome(_ref_even_grow, cert, y, z)
+                       == _outcome(even_grow, cert, y, z))
+    assert all(results), results.index(False)

@@ -166,3 +166,13 @@ def test_outcome_to_dict():
     assert data["schema"] == 1
     assert data["status"] == "solved"
     assert data["certificate"]["multiset"] == "1 2^2 3^3"
+
+
+def test_solve_answers_hold_the_callers_multiset():
+    # search answers keep the multiset they are handed; solve must hand
+    # its own, not a copy rebuilt from the multiplicities
+    for text in ("3 1^5 4^2", "1^3 2^2 3^2 4^2", "1^3 2^3 4^2"):
+        ms = LengthMultiset.parse(text)
+        out = solve(ms)
+        assert out.trace[0][0] == "external-theorem region", text
+        assert out.certificate.multiset is ms, text
