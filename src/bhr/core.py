@@ -358,9 +358,6 @@ class Certificate:
                 return gp
         raise NotGrowableError(f"certificate has no {x}-grow point")
 
-    def with_step(self, name: str, **params) -> tuple[tuple[str, dict], ...]:
-        return self.trace + ((name, params),)
-
     def to_dict(self) -> dict:
         return {
             "schema": 1,

@@ -2,9 +2,12 @@
 
 Operations work on raw vertex lists and build the result path in one
 pass.  Growing k times at one point (x, m) turns every window endpoint w
-into the arithmetic run w, w+x, ..., w+kx, so a k-fold grow, the triple
-grow inside x2x_swap and the longer runs of perf_grow, splice_perfect
-and even_grow cost O(v + kx), not k rebuilds of the path.
+into the arithmetic run w, w+x, ..., w+kx, so a k-fold grow costs
+O(v + kx), not k rebuilds of the path.  _grown_vertices is the one run
+builder: x2x_swap, perf_grow, splice_perfect and even_grow hand it the
+runs they want in place of the arithmetic ones (k x/2x swaps at one
+point, perfect parts, the even zigzags), so each of them is one pass
+too, however many swaps or grows it stands for.
 
 Grow-point bookkeeping: a known point (x', m') stays at m' if m' <= m
 and moves up by the number of inserted labels otherwise.  Relocated
@@ -56,7 +59,9 @@ class GrowthSchedule:
         return cls(tuple(steps))
 
 
-def _grown_vertices(path: HamPath, x: int, m: int, k: int) -> list[int]:
+def _grown_vertices(
+    path: HamPath, x: int, m: int, k: int, runs=None
+) -> list[int]:
     """Vertex list of k grows at (x, m), built in one pass.
 
     Each lengthened pair (a, b) has one window endpoint w.  Growing once
@@ -65,6 +70,12 @@ def _grown_vertices(path: HamPath, x: int, m: int, k: int) -> list[int]:
     label out to w + 2x.  So k grows insert the run w + x, ..., w + kx
     between the pair's endpoints, ordered outward from w, and shift every
     label above m by kx.
+
+    runs maps a window label w to the run to insert instead, also
+    ordered outward from w; it excludes w and ends at w + kx, so the
+    pair's far edge keeps its length.  Nothing checks here that the
+    runs jointly use each new label once: the caller's Certificate
+    checks the final path.
     """
     if k < 0:
         raise ValueError(f"grow count k={k} must be nonnegative")
@@ -72,16 +83,17 @@ def _grown_vertices(path: HamPath, x: int, m: int, k: int) -> list[int]:
         raise NotGrowableError(f"path is not {x}-growable at {m}")
     lo = m - x + 1
     shift = k * x
-    runs = {}
-    for a, b in lengthened_pairs(path, x, m):
-        if lo <= a <= m:
-            runs[(a, b)] = range(a + x, a + shift + 1, x)
-        else:
-            runs[(a, b)] = range(b + shift, b, -x)
+    outward = {w: range(w + x, w + shift + 1, x) for w in range(lo, m + 1)}
+    if runs:
+        outward.update(runs)
+    inserted = {
+        (a, b): outward[a] if lo <= a <= m else outward[b][::-1]
+        for a, b in lengthened_pairs(path, x, m)
+    }
     vs = path.vertices
     out = [vs[0] if vs[0] <= m else vs[0] + shift]
     for pair in path.pairs():
-        run = runs.get(pair)
+        run = inserted.get(pair)
         if run is not None:
             out.extend(run)
         b = pair[1]
@@ -162,25 +174,6 @@ def multi_grow(cert: Certificate, schedule: GrowthSchedule) -> Certificate:
     return cert
 
 
-def _substitute(vs: list[int], values: list[int], repl: list[int]):
-    """Replace the (possibly reversed) run of values in the vertex list
-    vs with repl.
-
-    repl must have the same endpoints as values so the boundary edges
-    keep their lengths; interior elements may differ.  The list is not
-    validated here: two replacements may only restore a permutation
-    jointly, and the operation's Certificate checks the final path.
-    """
-    i = vs.index(values[0])
-    n = len(values)
-    if vs[i : i + n] == values:
-        return vs[:i] + repl + vs[i + n :]
-    j = i - n + 1
-    if j >= 0 and vs[j : i + 1] == values[::-1]:
-        return vs[:j] + repl[::-1] + vs[i + 1 :]
-    raise NotGrowableError(f"expected subsequence {values} not found in path")
-
-
 def splice_perfect(cert: Certificate, k_real: HamPath) -> Certificate:
     """Grow a 1-run of |K| new labels and overwrite it with a translate
     of a perfect linear realization of K.  Realizes L with K merged in.
@@ -191,11 +184,8 @@ def splice_perfect(cert: Certificate, k_real: HamPath) -> Certificate:
         raise NotGrowableError("k_real must be a perfect linear realization")
     k = k_real.v - 1
     m = cert.point_for(1).m
-    vs = _grown_vertices(cert.path, 1, m, k)
-    vs = _substitute(
-        vs, list(range(m, m + k + 1)), translate(k_real.vertices, m)
-    )
-    path = HamPath.of(vs)
+    run = translate(k_real.vertices[1:], m)
+    path = HamPath.of(_grown_vertices(cert.path, 1, m, k, {m: run}))
     return _certify(
         path,
         # the k grown 1s are overwritten by K
@@ -240,18 +230,15 @@ def even_grow(cert: Certificate, y: int, z: int) -> Certificate:
         raise NotGrowableError("y and z must be at least 4")
     m = cert.point_for(2).m
     k = y + z - 1
-    vs = _grown_vertices(cert.path, 2, m, k)
-
-    run_a = list(range(m, m + 2 * y + 2 * z - 1, 2))
-    run_b = list(range(m - 1, m + 2 * y + 2 * z - 2, 2))
+    # the runs from m and from m - 1, as offsets from m - 1
     g = _zigzag(list(range(1, y)), list(range(y + 1, 2 * y)))
     g += [2 * y + z - 1, 2 * y + 2 * z - 1]
     h = [0, y] + _zigzag(
         list(range(2 * y, 2 * y + z - 1)),
         list(range(2 * y + z, 2 * y + 2 * z - 1)),
     )
-    vs = _substitute(vs, run_a, translate(g, m - 1))
-    vs = _substitute(vs, run_b, translate(h, m - 1))
+    runs = {m: translate(g[1:], m - 1), m - 1: translate(h[1:], m - 1)}
+    vs = _grown_vertices(cert.path, 2, m, k, runs)
 
     added = LengthMultiset.from_counts(
         {1: y + z - 4, y: y + 1, z: z + 1}
@@ -276,32 +263,36 @@ def even_grow(cert: Certificate, y: int, z: int) -> Certificate:
     )
 
 
-def x2x_swap(cert: Certificate, x: int, i: int) -> Certificate:
-    """Three x-grows, then swap the middle pair in i of the x four-term
-    arithmetic runs, realizing L + {x^(3x-2i), (2x)^(2i)}.
+def x2x_swap(cert: Certificate, x: int, i: int, k: int = 1) -> Certificate:
+    """k x/2x swaps at the tracked x-point m, realizing
+    L + k*{x^(3x-2i), (2x)^(2i)}.
 
-    The runs start at m+1-x, ..., m; the i runs with the smallest
+    One swap is three x-grows at m, then the middle pair of i of the x
+    four-term runs w, w+x, w+2x, w+3x is swapped to w, w+2x, w+x, w+3x.
+    The runs start at w = m+1-x, ..., m; the i runs with the smallest
     starting labels are swapped, which makes the operation deterministic.
+
+    Swapping again at m lengthens the edge leaving w, so k swaps put k
+    blocks w+(3j+2)x, w+(3j+1)x, w+(3j+3)x (j = 0..k-1) after each
+    swapped w and the plain run w+x, ..., w+3kx after the others.  All
+    3k grows are built in one pass, and the result (path, grow points,
+    multiset and trace) equals k single swaps.
     """
     if not (0 <= i <= x):
         raise NotGrowableError(f"i={i} out of range 0..{x}")
     m = cert.point_for(x).m
-    vs = _grown_vertices(cert.path, x, m, 3)
-    for t in range(i):
-        start = m + 1 - x + t
-        run = [start, start + x, start + 2 * x, start + 3 * x]
-        swapped = [start, start + 2 * x, start + x, start + 3 * x]
-        vs = _substitute(vs, run, swapped)
-
-    added = {x: 3 * x - 2 * i}
-    if i:
-        added[2 * x] = 2 * i
-    path = HamPath.of(vs)
+    runs = {
+        w: [w + (j + d) * x for j in range(0, 3 * k, 3) for d in (2, 1, 3)]
+        for w in range(m + 1 - x, m + 1 - x + i)
+    }
+    path = HamPath.of(_grown_vertices(cert.path, x, m, 3 * k, runs))
+    added = {x: k * (3 * x - 2 * i), 2 * x: k * 2 * i}
+    swap = _grow_steps(x, m, 3) + (("x2x_swap", {"x": x, "i": i}),)
     return _certify(
         path,
         cert.multiset + LengthMultiset.from_counts(added),
-        _surviving(path, _relocated(cert.grow_points, m, 3 * x)),
-        cert.trace + _grow_steps(x, m, 3) + (("x2x_swap", {"x": x, "i": i}),),
+        _surviving(path, _relocated(cert.grow_points, m, 3 * k * x)),
+        cert.trace + swap * k,
         "x2x_swap",
     )
 
@@ -322,15 +313,15 @@ def perf_grow(cert: Certificate, x: int, parts) -> Certificate:
         if not is_perfect(p):
             raise NotGrowableError(f"part {list(p.vertices)} is not perfect")
     m = cert.point_for(x).m
-    vs = _grown_vertices(cert.path, x, m, k)
+    lo = m + 1 - x
+    runs = {
+        lo + t: translate([x * e for e in part.vertices[1:]], lo + t)
+        for t, part in enumerate(parts)
+    }
+    path = HamPath.of(_grown_vertices(cert.path, x, m, k, runs))
     expected = cert.multiset
-    for t, part in enumerate(parts):
-        start = m + 1 - x + t
-        run = [start + j * x for j in range(k + 1)]
-        repl = translate([x * e for e in part.vertices], start)
-        vs = _substitute(vs, run, repl)
+    for part in parts:
         expected = expected + linear_diffs(part).scale(x)
-    path = HamPath.of(vs)
     step = ("perf_grow", {"x": x, "parts": [list(p.vertices) for p in parts]})
     return _certify(
         path,

@@ -194,6 +194,7 @@ def _replay(ms: LengthMultiset, table_ids) -> SolveOutcome | None:
     # entries whose schedule breaks a still-needed point mid-way
     for rescue in (False, True):
         for entry, sched in candidates:
+            step = {"table": entry.table_id, "variant": entry.variant}
             if not rescue:
                 try:
                     cert = multi_grow(
@@ -201,25 +202,31 @@ def _replay(ms: LengthMultiset, table_ids) -> SolveOutcome | None:
                     )
                 except NotGrowableError:
                     continue
+                step["schedule"] = sched
             else:
                 cert = _grow_to(_seed_cert(entry), target)
                 if cert is None:
                     continue
+                step["schedule"] = _grows_taken(cert)
+                step["rescue"] = True
             return SolveOutcome(
-                "solved",
-                certificate=cert,
-                trace=(
-                    (
-                        "replay",
-                        {
-                            "table": entry.table_id,
-                            "variant": entry.variant,
-                            "schedule": sched,
-                        },
-                    ),
-                ),
+                "solved", certificate=cert, trace=(("replay", step),)
             )
     return None
+
+
+def _grows_taken(cert: Certificate) -> list[tuple[int, int]]:
+    """The grows in cert's trace as a run-length schedule of (x, count)."""
+    sched = []
+    for name, params in cert.trace:
+        if name != "grow":
+            continue
+        x = params["x"]
+        if sched and sched[-1][0] == x:
+            sched[-1] = (x, sched[-1][1] + 1)
+        else:
+            sched.append((x, 1))
+    return sched
 
 
 def _counts_ms(counts: dict[int, int]) -> LengthMultiset:
@@ -342,8 +349,8 @@ def _run_swaps(cert: Certificate, x: int, plan) -> Certificate:
     i, full, x_grows, one_grows = plan
     if i:
         cert = x2x_swap(cert, x, i)
-    for _ in range(full):
-        cert = x2x_swap(cert, x, x)
+    if full:
+        cert = x2x_swap(cert, x, x, full)
     steps = []
     if x_grows:
         steps.append((x, x_grows))

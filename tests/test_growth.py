@@ -19,6 +19,7 @@ from bhr.core import (
     linear_diffs,
     translate,
 )
+from bhr.families import seed_for_residue
 from bhr.growth import (
     GrowthSchedule,
     even_grow,
@@ -420,3 +421,33 @@ def test_operations_match_single_grow_reference():
         results.append(_outcome(_ref_even_grow, cert, y, z)
                        == _outcome(even_grow, cert, y, z))
     assert all(results), results.index(False)
+
+
+def _swap_seeds():
+    """Every {1,3,6} g-seed (x = 3) and every {1, x} residue seed for
+    x = 4..12, the starting points of the two swap pipelines."""
+    for entry in seeds.table("u136"):
+        yield 3, _cert(entry)
+    for x in range(4, 13):
+        for r in range(x):
+            yield x, seed_for_residue(x, r)
+
+
+def test_k_fold_x2x_swap_matches_single_swaps():
+    cases = 0
+    for x, seed in _swap_seeds():
+        for i in range(x + 1):
+            ref = seed
+            for k in range(1, 9):
+                # k chained single swaps: one more on the previous k's
+                if ref is not None:
+                    try:
+                        ref = _ref_x2x(ref, x, i)
+                        want = (ref.path, ref.grow_points, ref.multiset,
+                                ref.trace)
+                    except NotGrowableError:
+                        ref, want = None, "NotGrowableError"
+                got = _outcome(x2x_swap, seed, x, i, k)
+                assert got == want, (seed.path.vertices, x, i, k)
+                cases += 1
+    assert cases == 5856

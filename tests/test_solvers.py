@@ -1,5 +1,6 @@
 import pytest
 
+from bhr import solvers
 from bhr.core import LengthMultiset, verify_realization
 from bhr.search import SearchConfig
 from bhr.solvers import (
@@ -176,3 +177,39 @@ def test_solve_answers_hold_the_callers_multiset():
         out = solve(ms)
         assert out.trace[0][0] == "external-theorem region", text
         assert out.certificate.multiset is ms, text
+
+
+def test_large_swap_pipelines_fold_the_full_swaps(monkeypatch):
+    # the partial swap, then every full swap in one k-fold call, however
+    # many full swaps c asks for
+    calls = []
+    real = solvers.x2x_swap
+
+    def counting(cert, x, i, k=1):
+        calls.append(k)
+        return real(cert, x, i, k)
+
+    monkeypatch.setattr(solvers, "x2x_swap", counting)
+    for text in ("1^3 5^2040 10^2058", "1^2 3^1000 6^1000"):
+        calls.clear()
+        ms = LengthMultiset.parse(text)
+        out = solve(ms)
+        _check_solved(out, ms.counts())
+        plan = out.trace[0][1]
+        assert plan["full_swaps"] > 100, text
+        assert len(calls) <= 2, (text, calls)
+        assert sum(calls) == plan["full_swaps"] + (plan["i"] > 0), text
+
+
+def test_rescued_replay_reports_the_grows_taken():
+    # the fixed schedule (1, 1), (2, 1) dead-ends; the rescue grew a 2
+    # first, then a 1, and the trace must say so
+    out = solve_u123(2, 5, 1)
+    _check_solved(out, {1: 2, 2: 5, 3: 1})
+    name, step = out.trace[0]
+    assert name == "replay" and step["rescue"] is True
+    grows = [p["x"] for n, p in out.certificate.trace if n == "grow"]
+    assert grows == [2, 1]
+    assert step["schedule"] == [(2, 1), (1, 1)]
+    plain = solve_u123(5, 6, 9).trace[0][1]
+    assert "rescue" not in plain and plain["schedule"]
