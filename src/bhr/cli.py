@@ -168,14 +168,7 @@ def cmd_perf_grow(args) -> int:
 
 
 def cmd_family(args) -> int:
-    x, b = args.x, args.b
-    if b == x + 1 or b == x + 2 or b == 2 * x:
-        cert = families.construct_1x_basic(x, b)
-    elif x % 2 == 0:
-        cert = families.construct_1x_even(x, b)
-    else:
-        cert = families.construct_1x_odd(x, b)
-    _emit_cert(args, cert)
+    _emit_cert(args, families.construct_1x(args.x, args.b))
     return EXIT_OK
 
 
@@ -232,7 +225,7 @@ def cmd_search(args) -> int:
 
 def cmd_oracle(args) -> int:
     ms = LengthMultiset.parse(args.multiset)
-    cap = args.cap if args.cap else _default_brute_cap()
+    cap = args.cap if args.cap is not None else _default_brute_cap()
     try:
         cert = search.brute_force(ms, cap=cap)
     except ValueError as exc:
@@ -288,6 +281,13 @@ def cmd_seeds(args) -> int:
         )
         return EXIT_OK if not bad else EXIT_VERIFY_FAILED
     # dump
+    try:
+        entries = (
+            seeds.iter_seeds() if args.table is None
+            else seeds.table(args.table)
+        )
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
     rows = [
         {
             "table": e.table_id,
@@ -296,8 +296,7 @@ def cmd_seeds(args) -> int:
             "path": list(e.path.vertices),
             "grow_points": [[g.x, g.m] for g in e.declared_grow_points],
         }
-        for e in seeds.iter_seeds()
-        if args.table is None or e.table_id == args.table
+        for e in entries
     ]
     if args.json:
         print(json.dumps({"schema": 1, "seeds": rows}))

@@ -199,6 +199,17 @@ def construct_1x_odd(x: int, b: int) -> Certificate:
     return _cert(seq, {1: x - 2, x: b}, points)
 
 
+def construct_1x(x: int, b: int) -> Certificate:
+    """The {1,x}-growable family member with b x's: the hand-patterned
+    families for b in {x+1, x+2, 2x}, else the lemma construction for
+    x+3 <= b <= 2x-1."""
+    if b in (x + 1, x + 2, 2 * x):
+        return construct_1x_basic(x, b)
+    if x % 2 == 0:
+        return construct_1x_even(x, b)
+    return construct_1x_odd(x, b)
+
+
 def seed_for_residue(x: int, residue: int) -> Certificate:
     """A {1,x}-growable seed for {1^a', x^b'} with b' = residue mod x.
 
@@ -208,11 +219,4 @@ def seed_for_residue(x: int, residue: int) -> Certificate:
     if x < 4:
         raise ValueError("x must be at least 4")
     residue %= x
-    b = 2 * x if residue == 0 else x + residue
-    if b == x + 1:
-        return construct_1x_basic(x, x + 1)
-    if b == x + 2 or b == 2 * x:
-        return construct_1x_basic(x, b)
-    if x % 2 == 0:
-        return construct_1x_even(x, b)
-    return construct_1x_odd(x, b)
+    return construct_1x(x, 2 * x if residue == 0 else x + residue)

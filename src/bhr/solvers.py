@@ -1,17 +1,19 @@
 """Drivers that assemble verified realizations for the proven classes.
 
-Each driver replays a constructive argument: pick a stored seed (or a
-closed-form family member), then apply grow / swap steps until the
-multiset matches the target.  The generic engine `_replay` expresses the
-common case -- a seed subsumes the target when every length's deficit is
-a nonnegative multiple of the length and the seed declares a grow point
-for it -- while solve_136 and solve_1x2x run the longer swap pipelines.
+solve() checks admissibility once, then dispatches on the underlying set
+U.  Sets of size <= 2 belong to the external-theorem region.  For
+{1,2,3}, {1,4,5} and the subsets of {1,2,3,4}, the table _DRIVERS says
+what to do: replay seed tables in order, name the external region the
+theory cites from earlier work, or choose between those by the number
+of 1s.  The replay engine `_replay` grows the first seed that subsumes
+the target -- every length's deficit is a nonnegative multiple of the
+length and the seed declares a grow point for it.  {1,3,6} and
+{1,x,2x} (x >= 4) run the longer swap pipelines of solve_136 and
+solve_1x2x.
 
 Outside the proven ranges the drivers refuse (out_of_proven_range)
-unless fallback is requested; regions the underlying theory cites from
-elsewhere without construction (small underlying sets, the a >= 3 /
-a = 2, b >= 1 region for {1,2,3,4}) are always handled by search and
-flagged in the trace as the external-theorem region.
+unless fallback is requested; the external-theorem region is always
+handled by search and flagged as such in the trace.
 """
 
 from __future__ import annotations
@@ -65,7 +67,11 @@ class SolveOutcome:
         }
 
 
-def _not_admissible(adm: Admissibility) -> SolveOutcome:
+def _inadmissible(ms: LengthMultiset) -> SolveOutcome | None:
+    """The not_admissible outcome for ms, or None when ms is admissible."""
+    adm = is_admissible(ms)
+    if adm.ok:
+        return None
     return SolveOutcome(
         "not_admissible",
         admissibility=adm,
@@ -106,17 +112,6 @@ def _out_of_range(ms, fallback, cfg, brute_cap, why: str) -> SolveOutcome:
     if fallback:
         return _search_fallback(ms, cfg, trace, brute_cap)
     return SolveOutcome("out_of_proven_range", trace=trace)
-
-
-def _seed_cert(entry) -> Certificate:
-    return Certificate(
-        path=entry.path,
-        multiset=entry.multiset,
-        grow_points=entry.declared_grow_points,
-        trace=(
-            ("seed", {"table": entry.table_id, "variant": entry.variant}),
-        ),
-    )
 
 
 def _schedule_for(entry, target: dict[int, int]):
@@ -198,13 +193,13 @@ def _replay(ms: LengthMultiset, table_ids) -> SolveOutcome | None:
             if not rescue:
                 try:
                     cert = multi_grow(
-                        _seed_cert(entry), GrowthSchedule(tuple(sched))
+                        entry.certificate(), GrowthSchedule(tuple(sched))
                     )
                 except NotGrowableError:
                     continue
                 step["schedule"] = sched
             else:
-                cert = _grow_to(_seed_cert(entry), target)
+                cert = _grow_to(entry.certificate(), target)
                 if cert is None:
                     continue
                 step["schedule"] = _grows_taken(cert)
@@ -238,91 +233,62 @@ def _mults(ms: LengthMultiset, *lengths: int) -> tuple[int, ...]:
     return tuple(counts.get(l, 0) for l in lengths)
 
 
-# Each public solve_* driver builds its target from the multiplicities
-# and runs the matching _u* body; solve() calls the bodies with the
-# multiset it was given, so an answer holds no second copy of it.
+# The proof-replay drivers as data.  Each covered underlying set of
+# size >= 3 maps to the seed tables _replay tries, in order; to the
+# reason, a string, why its region is cited from earlier work rather
+# than constructed; or to a choice by the number of 1s, where a count
+# not listed is the a >= 3 / a = 2, b >= 1 region of {1,2,3,4}.
+_REGION_A = "a >= 3 or (a = 2, b >= 1) region"
+_U1234_A1 = ("u134", "u1234-beven", "u1234-bodd", "supplement")
+_DRIVERS = {
+    frozenset({1, 2, 3}): ("u123-main", "u123-1g", "supplement"),
+    frozenset({1, 4, 5}): (
+        "u145-a2", "u145-a3", "u145-a1", "u145-4g", "inproof", "supplement"
+    ),
+    frozenset({1, 2, 4}): "no 3's: subset of {1,2,4}",
+    frozenset({2, 3, 4}): (
+        "u234-bodd", "u234-beven", "inproof", "supplement"
+    ),
+    frozenset({1, 3, 4}): {
+        1: _U1234_A1,
+        2: ("u1234-a2", "inproof", "supplement"),
+    },
+    frozenset({1, 2, 3, 4}): {1: _U1234_A1},
+}
+
+
+def _drive(ms, rule, fallback, cfg, brute_cap) -> SolveOutcome:
+    """Answer an admissible ms by its row of _DRIVERS."""
+    if isinstance(rule, dict):
+        rule = rule.get(ms.multiplicity(1), _REGION_A)
+    if isinstance(rule, str):
+        return _external(ms, cfg, brute_cap, rule)
+    return _replay(ms, rule) or _out_of_range(
+        ms, fallback, cfg, brute_cap, "no subsuming seed"
+    )
 
 
 def solve_u123(
     a: int, b: int, c: int, fallback=False, cfg=None, brute_cap=None
 ) -> SolveOutcome:
     """{1^a, 2^b, 3^c}; proof replay needs a, b, c >= 1."""
-    return _u123(_counts_ms({1: a, 2: b, 3: c}), fallback, cfg, brute_cap)
-
-
-def _u123(ms, fallback, cfg, brute_cap) -> SolveOutcome:
-    a, b, c = _mults(ms, 1, 2, 3)
-    adm = is_admissible(ms)
-    if not adm.ok:
-        return _not_admissible(adm)
-    if min(a, b, c) < 1:
-        return _external(ms, cfg, brute_cap, "underlying set smaller than 3")
-    out = _replay(ms, ["u123-main", "u123-1g", "supplement"])
-    if out is not None:
-        return out
-    return _out_of_range(ms, fallback, cfg, brute_cap, "no subsuming seed")
+    return solve(_counts_ms({1: a, 2: b, 3: c}), fallback, cfg, brute_cap)
 
 
 def solve_u145(
     a: int, b: int, c: int, fallback=False, cfg=None, brute_cap=None
 ) -> SolveOutcome:
     """{1^a, 4^b, 5^c}; proof replay needs a, b, c >= 1."""
-    return _u145(_counts_ms({1: a, 4: b, 5: c}), fallback, cfg, brute_cap)
-
-
-def _u145(ms, fallback, cfg, brute_cap) -> SolveOutcome:
-    a, b, c = _mults(ms, 1, 4, 5)
-    adm = is_admissible(ms)
-    if not adm.ok:
-        return _not_admissible(adm)
-    if min(a, b, c) < 1:
-        return _external(ms, cfg, brute_cap, "underlying set smaller than 3")
-    out = _replay(
-        ms,
-        ["u145-a2", "u145-a3", "u145-a1", "u145-4g", "inproof",
-         "supplement"],
-    )
-    if out is not None:
-        return out
-    return _out_of_range(ms, fallback, cfg, brute_cap, "no subsuming seed")
+    return solve(_counts_ms({1: a, 4: b, 5: c}), fallback, cfg, brute_cap)
 
 
 def solve_u1234(
     a: int, b: int, c: int, d: int, fallback=False, cfg=None, brute_cap=None
 ) -> SolveOutcome:
-    """{1^a, 2^b, 3^c, 4^d}: the full decision tree over a."""
-    return _u1234(
+    """{1^a, 2^b, 3^c, 4^d}; solve()'s table picks the region by a."""
+    return solve(
         _counts_ms({1: a, 2: b, 3: c, 4: d}), fallback, cfg, brute_cap
     )
-
-
-def _u1234(ms, fallback, cfg, brute_cap) -> SolveOutcome:
-    a, b, c, d = _mults(ms, 1, 2, 3, 4)
-    adm = is_admissible(ms)
-    if not adm.ok:
-        return _not_admissible(adm)
-    if sum(1 for n in (a, b, c, d) if n) <= 2:
-        return _external(ms, cfg, brute_cap, "underlying set of size <= 2")
-    if d == 0:
-        if min(a, b, c) >= 1:
-            return _u123(ms, fallback, cfg, brute_cap)
-        return _external(ms, cfg, brute_cap, "underlying set smaller than 3")
-    if c == 0:
-        return _external(ms, cfg, brute_cap, "no 3's: subset of {1,2,4}")
-    if a >= 3 or (a == 2 and b >= 1):
-        return _external(
-            ms, cfg, brute_cap, "a >= 3 or (a = 2, b >= 1) region"
-        )
-    if a == 2:
-        tables = ["u1234-a2", "inproof", "supplement"]
-    elif a == 1:
-        tables = ["u134", "u1234-beven", "u1234-bodd", "supplement"]
-    else:
-        tables = ["u234-bodd", "u234-beven", "inproof", "supplement"]
-    out = _replay(ms, tables)
-    if out is not None:
-        return out
-    return _out_of_range(ms, fallback, cfg, brute_cap, "no subsuming seed")
 
 
 def _swap_plan(seed_counts, target, x):
@@ -369,14 +335,12 @@ def solve_136(
     Proven range: a >= 1 and b >= 13 + c/2 (even c) or
     b >= 18 + (c-1)/2 (odd c).
     """
-    return _u136(_counts_ms({1: a, 3: b, 6: c}), fallback, cfg, brute_cap)
+    ms = _counts_ms({1: a, 3: b, 6: c})
+    return _inadmissible(ms) or _u136(ms, fallback, cfg, brute_cap)
 
 
 def _u136(ms, fallback, cfg, brute_cap) -> SolveOutcome:
     a, b, c = _mults(ms, 1, 3, 6)
-    adm = is_admissible(ms)
-    if not adm.ok:
-        return _not_admissible(adm)
     bound = 13 + c // 2 if c % 2 == 0 else 18 + (c - 1) // 2
     if a < 1 or b < bound:
         return _out_of_range(
@@ -392,7 +356,7 @@ def _u136(ms, fallback, cfg, brute_cap) -> SolveOutcome:
         if plan is None:
             continue
         try:
-            cert = _run_swaps(_seed_cert(entry), 3, plan)
+            cert = _run_swaps(entry.certificate(), 3, plan)
         except NotGrowableError:
             continue
         return SolveOutcome(
@@ -423,16 +387,12 @@ def solve_1x2x(
     """
     if x < 4:
         raise ValueError("solve_1x2x needs x >= 4")
-    return _u1x2x(
-        _counts_ms({1: a, x: b, 2 * x: c}), x, fallback, cfg, brute_cap
-    )
+    ms = _counts_ms({1: a, x: b, 2 * x: c})
+    return _inadmissible(ms) or _u1x2x(ms, x, fallback, cfg, brute_cap)
 
 
 def _u1x2x(ms, x, fallback, cfg, brute_cap) -> SolveOutcome:
     a, b, c = _mults(ms, 1, x, 2 * x)
-    adm = is_admissible(ms)
-    if not adm.ok:
-        return _not_admissible(adm)
     if c % 2 or a < x - 2 or b < 5 * x - 2 + c // 2:
         return _out_of_range(
             ms,
@@ -492,26 +452,21 @@ def hr_bound(ms) -> int:
 def solve(
     ms: LengthMultiset, fallback=False, cfg=None, brute_cap=None
 ) -> SolveOutcome:
-    """Dispatch to the driver for ms's underlying set."""
-    adm = is_admissible(ms)
-    if not adm.ok:
-        return _not_admissible(adm)
-    u = set(ms.underlying_set)
+    """Check admissibility, then dispatch on ms's underlying set."""
+    refused = _inadmissible(ms)
+    if refused:
+        return refused
+    u = ms.underlying_set
     args = (fallback, cfg, brute_cap)
-    if u == {1, 2, 3}:
-        return _u123(ms, *args)
-    if u == {1, 4, 5}:
-        return _u145(ms, *args)
-    if u <= {1, 2, 3, 4}:
-        return _u1234(ms, *args)
-    if u == {1, 3, 6}:
-        return _u136(ms, *args)
-    if len(u) == 3 and 1 in u:
-        x = sorted(u)[1]
-        if x >= 4 and u == {1, x, 2 * x}:
-            return _u1x2x(ms, x, *args)
     if len(u) <= 2:
         return _external(ms, cfg, brute_cap, "underlying set of size <= 2")
+    if u in _DRIVERS:
+        return _drive(ms, _DRIVERS[u], *args)
+    if u == {1, 3, 6}:
+        return _u136(ms, *args)
+    x = sorted(u)[1]
+    if x >= 4 and u == {1, x, 2 * x}:
+        return _u1x2x(ms, x, *args)
     return _out_of_range(
         ms, fallback, cfg, brute_cap, f"no driver for U = {sorted(u)}"
     )

@@ -107,6 +107,7 @@ def test_oracle(capsys):
     assert run(capsys, "oracle", "2^5")[0] == EXIT_SEARCH_FAILED
     assert run(capsys, "oracle", "1^20")[0] == EXIT_USAGE
     assert run(capsys, "oracle", "1^20", "--cap", "21")[0] == EXIT_OK
+    assert run(capsys, "oracle", "2^5", "--cap", "0")[0] == EXIT_USAGE
 
 
 def test_family(capsys):
@@ -115,6 +116,7 @@ def test_family(capsys):
     data = json.loads(out)
     assert data["multiset"] == "1^6 8^13"
     assert run(capsys, "family", "--x", "8", "--b", "40")[0] == EXIT_USAGE
+    assert run(capsys, "family", "--x", "8", "--b", "5")[0] == EXIT_USAGE
 
 
 def test_seeds_check(capsys):
@@ -123,6 +125,9 @@ def test_seeds_check(capsys):
     code, out, _ = run(capsys, "seeds", "dump", "--table", "demo", "--json")
     assert code == EXIT_OK
     assert len(json.loads(out)) == 2
+    code, out, err = run(capsys, "seeds", "dump", "--table", "nope")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ")
 
 
 def test_bound(capsys):

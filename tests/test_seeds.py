@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from bhr import seeds
-from bhr.core import LengthMultiset
+from bhr.core import GrowPoint, LengthMultiset
 
 
 def test_verify_all_seeds_clean():
@@ -40,6 +42,16 @@ def test_entries_verify_individually():
     assert entry.check() == []
     assert entry.multiset == LengthMultiset.parse("1 2^2 3^4 4")
     assert entry.path.vertices == (6, 4, 3, 0, 7, 1, 5, 2, 8)
+
+
+def test_check_reports_what_the_certificate_refuses():
+    entry = seeds.lookup_seed({1, 2, 3, 4}, variant="demo-9")
+    cert = entry.certificate()
+    assert cert.trace == (("seed", {"table": "demo", "variant": "demo-9"}),)
+    bad_point = replace(entry, declared_grow_points=(GrowPoint(1, 0),))
+    assert bad_point.check() == ["declared grow point (1, 0) fails"]
+    [problem] = replace(entry, params=(2, 2, 4, 1)).check()
+    assert "order mismatch" in problem
 
 
 def test_lookup_by_variant():

@@ -68,6 +68,62 @@ def test_u1234_d_zero_delegates():
     _check_solved(out, {1: 2, 2: 3, 3: 4})
 
 
+U123 = {"u123-main", "u123-1g", "supplement"}
+U1234_A1 = {"u134", "u1234-beven", "u1234-bodd", "supplement"}
+REGION_A = "a >= 3 or (a = 2, b >= 1) region"
+ROUTES = [
+    ("1 2 3^3", U123),
+    ("1 4^3 5^5", {"u145-a2", "u145-a3", "u145-a1", "u145-4g", "inproof",
+                   "supplement"}),
+    ("1 2^2 4^4", "no 3's: subset of {1,2,4}"),
+    ("2 3^2 4^4", {"u234-bodd", "u234-beven", "inproof", "supplement"}),
+    ("1 3^2 4^4", U1234_A1),
+    ("1^2 3 4^4", {"u1234-a2", "inproof", "supplement"}),
+    ("1^3 3 4^3", REGION_A),
+    ("1 2 3 4^4", U1234_A1),
+    ("1^2 2 3 4^3", REGION_A),
+    ("3^6", "underlying set of size <= 2"),
+    ("1^5 2", "underlying set of size <= 2"),
+]
+
+
+def test_solve_routes_each_underlying_set():
+    # one small target per row of the driver table, and per count of 1s
+    # where a row picks by it: the external reason, or a replay from
+    # one of the row's seed tables
+    for text, want in ROUTES:
+        out = solve(LengthMultiset.parse(text))
+        name, step = out.trace[0]
+        if isinstance(want, str):
+            assert out.status == "search_fallback" and out.ok, text
+            assert (name, step["why"]) == ("external-theorem region", want)
+        else:
+            _check_solved(out, LengthMultiset.parse(text).counts())
+            assert name == "replay" and step["table"] in want, (text, step)
+    covered = {LengthMultiset.parse(t).underlying_set for t, _ in ROUTES}
+    assert set(solvers._DRIVERS) <= covered
+
+
+def test_wrappers_answer_as_solve():
+    # the inputs of the wrapper tests above
+    cases = [
+        (solve_u123, (1, 2, 3), [(1, 2, 3), (5, 6, 9), (3, 1, 1), (2, 4, 2),
+                                 (7, 7, 7), (0, 3, 4), (2, 5, 1)]),
+        (solve_u145, (1, 4, 5), [(2, 4, 5), (1, 4, 12), (3, 2, 6), (4, 1, 9),
+                                 (1, 1, 7)]),
+        (solve_u1234, (1, 2, 3, 4), [(1, 1, 3, 4), (1, 2, 3, 1), (0, 1, 3, 4),
+                                     (0, 2, 3, 4), (1, 3, 2, 2), (3, 2, 2, 2),
+                                     (2, 1, 3, 3), (0, 0, 3, 4), (2, 2, 0, 3),
+                                     (2, 3, 4, 0)]),
+    ]
+    for wrapper, lengths, inputs in cases:
+        for counts in inputs:
+            ms = LengthMultiset.from_counts(
+                {x: n for x, n in zip(lengths, counts) if n}
+            )
+            assert wrapper(*counts) == solve(ms), (wrapper.__name__, counts)
+
+
 def test_136_worked_example():
     out = solve_136(3, 18, 10)
     _check_solved(out, {1: 3, 3: 18, 6: 10})
