@@ -226,11 +226,7 @@ def cmd_search(args) -> int:
 def cmd_oracle(args) -> int:
     ms = LengthMultiset.parse(args.multiset)
     cap = args.cap if args.cap is not None else _default_brute_cap()
-    try:
-        cert = search.brute_force(ms, cap=cap)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    cert = search.brute_force(ms, cap=cap)
     if cert is None:
         _emit(
             args,

@@ -13,7 +13,11 @@ Conventions that are easy to get wrong:
   acts on labels.
 * A "lengthened" edge is one whose image under the embedding into
   K_{v+x} has a strictly larger cyclic length than the original edge
-  had in K_v.
+  had in K_v.  An edge (a, b) lengthens exactly when it straddles m
+  (min(a, b) <= m < max(a, b)) and 2|a-b| < v, or when it does not
+  straddle m and 2|a-b| > v.  The rule does not depend on x, so a
+  label m has at most one grow point, whose x is the number of
+  lengthened edges at m.
 """
 
 from __future__ import annotations
@@ -293,12 +297,18 @@ def is_growable_at(path: HamPath, x: int, m: int) -> bool:
     window must consist of x actual labels (m >= x-1); otherwise growing
     could not insert the x labels m+1..m+x and is reported not growable.
 
-    A lengthened edge is either a straddling pair (y <= m < z, whose
-    non-wrapping length z - y gains x from the shift of z) or a
-    wrap-around pair with both endpoints fixed (length v - |a - b|,
-    which gains x because v does).  Either way the growth construction
-    can only serve it through a single window endpoint, so an edge with
-    both endpoints in the window rules growability out.
+    An edge (a, b) lengthens exactly when it straddles m (one endpoint
+    <= m < the other) and 2|a-b| < v: its non-wrapping length gains x
+    from the shifted endpoint; or when it does not straddle m and
+    2|a-b| > v: its wrap-around length v - |a-b| gains x because v
+    does while |a-b| stays.  Both endpoints may lie above m, so for
+    [0,1,2,3,9,4,5,6,7,8] at x=1, m=2 the lengthened pairs are (2, 3)
+    and (3, 9).  The rule does not depend on x, and a grow point
+    matches its x window labels one to one with the lengthened edges,
+    so x must equal their number and a label m has at most one grow
+    point.  The growth construction can only serve a lengthened edge
+    through a single window endpoint, so an edge with both endpoints
+    in the window rules growability out.
     """
     v = path.v
     if not (0 < x <= v / 2):
@@ -364,7 +374,7 @@ class Certificate:
             "path": list(self.path.vertices),
             "multiset": self.multiset.format(),
             "grow_points": [[gp.x, gp.m] for gp in self.grow_points],
-            "trace": [[name, params] for name, params in self.trace],
+            "trace": [[name, dict(params)] for name, params in self.trace],
         }
 
     def to_json(self) -> str:

@@ -163,12 +163,11 @@ def brute_force(
     """Exhaustive depth-first search for a realization of ms.
 
     Prunes by the remaining count of each length; breaks the reversal
-    symmetry by keeping only paths with first vertex smaller than last
-    (translation classes are not quotiented: labels matter to lengths
-    only through differences, but no cheap canonical form exists for
-    paths).  Returns a Certificate, or None -- and None is definitive:
-    ms has no realization.  Does not require admissibility, so it also
-    serves as the necessity-direction oracle.
+    symmetry by keeping only paths with first vertex smaller than last.
+    Translation classes are not quotiented yet, although y -> y+t and
+    y -> -y (mod v) keep every length.  Returns a Certificate, or None
+    -- and None is definitive: ms has no realization.  Does not require
+    admissibility, so it also serves as the necessity-direction oracle.
     """
     cap = DEFAULT_BRUTE_CAP if cap is None else cap
     v = ms.v

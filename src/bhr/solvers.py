@@ -114,11 +114,11 @@ def _out_of_range(ms, fallback, cfg, brute_cap, why: str) -> SolveOutcome:
     return SolveOutcome("out_of_proven_range", trace=trace)
 
 
-def _schedule_for(entry, target: dict[int, int]):
-    """Grow schedule taking the entry to the target, or None if the
-    entry does not subsume it."""
-    seed_counts = {x: n for x, n in zip(entry.lengths, entry.params)}
-    points = {gp.x for gp in entry.declared_grow_points}
+def _schedule_for(seed: Certificate, target: dict[int, int]):
+    """Grow schedule taking the seed to the target, or None if the
+    seed does not subsume it."""
+    seed_counts = seed.multiset.counts()
+    points = {gp.x for gp in seed.grow_points}
     sched = []
     for x in sorted(set(seed_counts) | set(target)):
         d = target.get(x, 0) - seed_counts.get(x, 0)
@@ -182,7 +182,7 @@ def _replay(ms: LengthMultiset, table_ids) -> SolveOutcome | None:
         (entry, sched)
         for tid in table_ids
         for entry in seed_tables.table(tid)
-        if (sched := _schedule_for(entry, target)) is not None
+        if (sched := _schedule_for(entry.certificate(), target)) is not None
     ]
     # first pass: the fixed ascending schedule with tracked points for
     # every candidate; only then the costly re-scanning search, for the
@@ -222,10 +222,6 @@ def _grows_taken(cert: Certificate) -> list[tuple[int, int]]:
         else:
             sched.append((x, 1))
     return sched
-
-
-def _counts_ms(counts: dict[int, int]) -> LengthMultiset:
-    return LengthMultiset.from_counts({l: c for l, c in counts.items() if c})
 
 
 def _mults(ms: LengthMultiset, *lengths: int) -> tuple[int, ...]:
@@ -272,23 +268,24 @@ def solve_u123(
     a: int, b: int, c: int, fallback=False, cfg=None, brute_cap=None
 ) -> SolveOutcome:
     """{1^a, 2^b, 3^c}; proof replay needs a, b, c >= 1."""
-    return solve(_counts_ms({1: a, 2: b, 3: c}), fallback, cfg, brute_cap)
+    ms = LengthMultiset.from_counts({1: a, 2: b, 3: c})
+    return solve(ms, fallback, cfg, brute_cap)
 
 
 def solve_u145(
     a: int, b: int, c: int, fallback=False, cfg=None, brute_cap=None
 ) -> SolveOutcome:
     """{1^a, 4^b, 5^c}; proof replay needs a, b, c >= 1."""
-    return solve(_counts_ms({1: a, 4: b, 5: c}), fallback, cfg, brute_cap)
+    ms = LengthMultiset.from_counts({1: a, 4: b, 5: c})
+    return solve(ms, fallback, cfg, brute_cap)
 
 
 def solve_u1234(
     a: int, b: int, c: int, d: int, fallback=False, cfg=None, brute_cap=None
 ) -> SolveOutcome:
     """{1^a, 2^b, 3^c, 4^d}; solve()'s table picks the region by a."""
-    return solve(
-        _counts_ms({1: a, 2: b, 3: c, 4: d}), fallback, cfg, brute_cap
-    )
+    ms = LengthMultiset.from_counts({1: a, 2: b, 3: c, 4: d})
+    return solve(ms, fallback, cfg, brute_cap)
 
 
 def _swap_plan(seed_counts, target, x):
@@ -311,20 +308,36 @@ def _swap_plan(seed_counts, target, x):
     return i, full, (b - b_after) // x, a - a1
 
 
-def _run_swaps(cert: Certificate, x: int, plan) -> Certificate:
-    i, full, x_grows, one_grows = plan
-    if i:
-        cert = x2x_swap(cert, x, i)
-    if full:
-        cert = x2x_swap(cert, x, x, full)
-    steps = []
-    if x_grows:
-        steps.append((x, x_grows))
-    if one_grows:
-        steps.append((1, one_grows))
-    if steps:
-        cert = multi_grow(cert, GrowthSchedule(tuple(steps)))
-    return cert
+def _swap_pipeline(ms, x, seeds) -> SolveOutcome | None:
+    """Grow the first of the (trace label, seed) pairs that reaches ms
+    by x/2x swaps, then x-grows and 1-grows.  Returns None when no seed
+    does."""
+    target = _mults(ms, 1, x, 2 * x)
+    for (key, label), seed in seeds:
+        plan = _swap_plan(_mults(seed.multiset, 1, x, 2 * x), target, x)
+        if plan is None:
+            continue
+        i, full, x_grows, one_grows = plan
+        steps = tuple((l, k) for l, k in ((x, x_grows), (1, one_grows)) if k)
+        try:
+            cert = x2x_swap(seed, x, i) if i else seed
+            if full:
+                cert = x2x_swap(cert, x, x, full)
+            if steps:
+                cert = multi_grow(cert, GrowthSchedule(steps))
+        except NotGrowableError:
+            continue
+        step = {
+            key: label,
+            "i": i,
+            "full_swaps": full,
+            "x_grows": x_grows,
+            "one_grows": one_grows,
+        }
+        return SolveOutcome(
+            "solved", certificate=cert, trace=(("swap-pipeline", step),)
+        )
+    return None
 
 
 def solve_136(
@@ -335,7 +348,7 @@ def solve_136(
     Proven range: a >= 1 and b >= 13 + c/2 (even c) or
     b >= 18 + (c-1)/2 (odd c).
     """
-    ms = _counts_ms({1: a, 3: b, 6: c})
+    ms = LengthMultiset.from_counts({1: a, 3: b, 6: c})
     return _inadmissible(ms) or _u136(ms, fallback, cfg, brute_cap)
 
 
@@ -346,36 +359,13 @@ def _u136(ms, fallback, cfg, brute_cap) -> SolveOutcome:
         return _out_of_range(
             ms, fallback, cfg, brute_cap, f"need a >= 1 and b >= {bound}"
         )
-    for entry in seed_tables.table("u136"):
-        counts = {x: n for x, n in zip(entry.lengths, entry.params)}
-        plan = _swap_plan(
-            (counts.get(1, 0), counts.get(3, 0), counts.get(6, 0)),
-            (a, b, c),
-            3,
-        )
-        if plan is None:
-            continue
-        try:
-            cert = _run_swaps(entry.certificate(), 3, plan)
-        except NotGrowableError:
-            continue
-        return SolveOutcome(
-            "solved",
-            certificate=cert,
-            trace=(
-                (
-                    "swap-pipeline",
-                    {
-                        "seed": entry.variant,
-                        "i": plan[0],
-                        "full_swaps": plan[1],
-                        "x_grows": plan[2],
-                        "one_grows": plan[3],
-                    },
-                ),
-            ),
-        )
-    return _out_of_range(ms, fallback, cfg, brute_cap, "no g-seed fits")
+    seeds = (
+        (("seed", entry.variant), entry.certificate())
+        for entry in seed_tables.table("u136")
+    )
+    return _swap_pipeline(ms, 3, seeds) or _out_of_range(
+        ms, fallback, cfg, brute_cap, "no g-seed fits"
+    )
 
 
 def solve_1x2x(
@@ -387,7 +377,7 @@ def solve_1x2x(
     """
     if x < 4:
         raise ValueError("solve_1x2x needs x >= 4")
-    ms = _counts_ms({1: a, x: b, 2 * x: c})
+    ms = LengthMultiset.from_counts({1: a, x: b, 2 * x: c})
     return _inadmissible(ms) or _u1x2x(ms, x, fallback, cfg, brute_cap)
 
 
@@ -403,33 +393,12 @@ def _u1x2x(ms, x, fallback, cfg, brute_cap) -> SolveOutcome:
         )
     i = (c % (2 * x)) // 2
     seed = seed_for_residue(x, (b + 2 * i) % x)
-    seed_counts = seed.multiset.counts()
-    plan = _swap_plan(
-        (seed_counts.get(1, 0), seed_counts.get(x, 0), 0), (a, b, c), x
-    )
-    if plan is None:
-        # the residue-1 seed needs a' = x-1; an admissible instance
-        # always clears it, so reaching here means the instance slipped
-        # outside the argument
-        return _out_of_range(
-            ms, fallback, cfg, brute_cap, "seed multiplicities not subsumed"
-        )
-    cert = _run_swaps(seed, x, plan)
-    return SolveOutcome(
-        "solved",
-        certificate=cert,
-        trace=(
-            (
-                "swap-pipeline",
-                {
-                    "seed_b": seed_counts.get(x, 0),
-                    "i": plan[0],
-                    "full_swaps": plan[1],
-                    "x_grows": plan[2],
-                    "one_grows": plan[3],
-                },
-            ),
-        ),
+    # the residue-1 seed needs a' = x-1; an admissible instance always
+    # clears it, so a refusal means the instance slipped outside the
+    # argument
+    label = ("seed_b", seed.multiset.multiplicity(x))
+    return _swap_pipeline(ms, x, ((label, seed),)) or _out_of_range(
+        ms, fallback, cfg, brute_cap, "seed multiplicities not subsumed"
     )
 
 

@@ -108,6 +108,9 @@ def test_oracle(capsys):
     assert run(capsys, "oracle", "1^20")[0] == EXIT_USAGE
     assert run(capsys, "oracle", "1^20", "--cap", "21")[0] == EXIT_OK
     assert run(capsys, "oracle", "2^5", "--cap", "0")[0] == EXIT_USAGE
+    code, out, err = run(capsys, "oracle", "1^3", "--cap", "-5")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: v=4 exceeds brute-force cap -5\n"
 
 
 def test_family(capsys):

@@ -193,6 +193,36 @@ def test_lengthened_pairs():
     assert sorted(flat) == [0, 1, 2]
 
 
+def test_lengthening_does_not_depend_on_x():
+    """An edge (a, b) lengthens under the embedding at m exactly when it
+    straddles m and 2|a-b| < v, or does not and 2|a-b| > v, whatever x
+    is; so no label m carries two grow points."""
+    from bhr.seeds import iter_seeds
+
+    rng = random.Random(11)
+    paths = [entry.path for entry in iter_seeds()]
+    for _ in range(200):
+        verts = list(range(rng.randint(2, 24)))
+        rng.shuffle(verts)
+        paths.append(HamPath.of(verts))
+    for path in paths:
+        v = path.v
+        for m in range(v):
+            rule = {
+                (a, b)
+                for a, b in path.pairs()
+                if (
+                    2 * abs(a - b) < v
+                    if min(a, b) <= m < max(a, b)
+                    else 2 * abs(a - b) > v
+                )
+            }
+            for x in range(1, v // 2 + 1):
+                assert set(lengthened_pairs(path, x, m)) == rule, (path, m)
+        ms = [gp.m for gp in growth_points(path)]
+        assert len(ms) == len(set(ms)), path
+
+
 def test_translate():
     assert translate([0, 2, 1, 3], 5) == [5, 7, 6, 8]
 
@@ -206,6 +236,8 @@ def test_certificate_roundtrip():
     )
     again = Certificate.from_json(cert.to_json())
     assert again == cert
+    cert.to_dict()["trace"][0][1]["table"] = "edited"
+    assert cert.trace == (("seed", {"table": "demo"}),)
     data = json.loads(cert.to_json())
     assert data["schema"] == 1
     assert data["multiset"] == "1 2^2 3^4 4"

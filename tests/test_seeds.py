@@ -47,17 +47,19 @@ def test_entries_verify_individually():
 def test_check_reports_what_the_certificate_refuses():
     entry = seeds.lookup_seed({1, 2, 3, 4}, variant="demo-9")
     cert = entry.certificate()
+    assert entry.certificate() is cert
     assert cert.trace == (("seed", {"table": "demo", "variant": "demo-9"}),)
     bad_point = replace(entry, declared_grow_points=(GrowPoint(1, 0),))
     assert bad_point.check() == ["declared grow point (1, 0) fails"]
-    [problem] = replace(entry, params=(2, 2, 4, 1)).check()
+    bad_counts = replace(entry, multiset=LengthMultiset.parse("1^2 2^2 3^4 4"))
+    [problem] = bad_counts.check()
     assert "order mismatch" in problem
 
 
 def test_lookup_by_variant():
     g1 = seeds.lookup_seed({1, 3}, variant="g1")
     assert g1.table_id == "u136"
-    assert g1.underlying_set == frozenset({1, 3})
+    assert g1.multiset.underlying_set == frozenset({1, 3})
 
 
 def test_lookup_by_table_id():
@@ -80,4 +82,4 @@ def test_supplement_entries_growable_over_support():
     its underlying set; that is the property the table exists for."""
     for entry in seeds.table("supplement"):
         declared = {gp.x for gp in entry.declared_grow_points}
-        assert entry.underlying_set <= declared, entry.variant
+        assert entry.multiset.underlying_set <= declared, entry.variant
