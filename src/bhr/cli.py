@@ -28,6 +28,7 @@ from .core import (
     cyclic_lengths,
     growth_points,
     is_admissible,
+    plain_params,
 )
 
 EXIT_OK = 0
@@ -79,7 +80,7 @@ def _emit_cert(args, cert: Certificate) -> None:
             pts = ", ".join(f"({g.x},{g.m})" for g in cert.grow_points)
             print(f"grow points: {pts}")
         for name, params in cert.trace:
-            print(f"  {name} {params}")
+            print(f"  {name} {plain_params(params)}")
 
 
 def _cert_from_args(args) -> Certificate:
@@ -122,13 +123,10 @@ def cmd_grow(args) -> int:
             print("--at expects x,m", file=sys.stderr)
             return EXIT_USAGE
         cert = growth.grow(cert, x, m)
-    elif args.schedule:
+    else:
         cert = growth.multi_grow(
             cert, growth.GrowthSchedule.parse(args.schedule)
         )
-    else:
-        print("grow needs --at or --schedule", file=sys.stderr)
-        return EXIT_USAGE
     _emit_cert(args, cert)
     return EXIT_OK
 
@@ -335,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("grow", cmd_grow, help="apply grow steps to a realization")
     p.add_argument("--path", required=True)
     p.add_argument("--multiset")
-    p.add_argument("--at", help="x,m for a single grow")
-    p.add_argument("--schedule", help='e.g. "2*4 3*3"')
+    how = p.add_mutually_exclusive_group(required=True)
+    how.add_argument("--at", help="x,m for a single grow")
+    how.add_argument("--schedule", help='e.g. "2*4 3*3"')
 
     p = add("splice", cmd_splice, help="splice a perfect realization")
     p.add_argument("--path", required=True)

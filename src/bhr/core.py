@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import InitVar, dataclass, field
+from types import MappingProxyType
 
 
 class MultisetError(ValueError):
@@ -205,11 +207,17 @@ def edge_length(a: int, b: int, v: int) -> int:
 
 
 def cyclic_lengths(path: HamPath) -> LengthMultiset:
-    """Multiset of cyclic edge lengths along the path."""
+    """Multiset of cyclic edge lengths along the path.
+
+    A HamPath is a permutation of 0..v-1, so its pairs need none of
+    edge_length's range and distinctness checks."""
     v = path.v
-    return LengthMultiset.from_lengths(
-        edge_length(a, b, v) for a, b in path.pairs()
-    )
+    counts: dict[int, int] = {}
+    for a, b in path.pairs():
+        d = abs(a - b)
+        length = min(d, v - d)
+        counts[length] = counts.get(length, 0) + 1
+    return LengthMultiset.from_counts(counts)
 
 
 def linear_diffs(path: HamPath) -> LengthMultiset:
@@ -289,13 +297,18 @@ def lengthened_pairs(
     return out
 
 
-def is_growable_at(path: HamPath, x: int, m: int) -> bool:
-    """Test x-growability at label m.
+def window_endpoints(
+    path: HamPath, x: int, m: int
+) -> dict[tuple[int, int], int] | None:
+    """The growability rule, in one pass over the lengthened pairs.
 
-    Each label y with m-x < y <= m must be incident with exactly one
-    lengthened edge, and no edge outside those may be lengthened.  The
-    window must consist of x actual labels (m >= x-1); otherwise growing
-    could not insert the x labels m+1..m+x and is reported not growable.
+    Returns a map from each lengthened pair (a, b) at (x, m) to its
+    window endpoint, or None when the path is not x-growable at label m.
+    Each label y with m-x < y <= m must be the window endpoint of
+    exactly one lengthened edge, and each lengthened edge must have
+    exactly one endpoint in the window.  The window must consist of x
+    actual labels (m >= x-1); otherwise growing could not insert the x
+    labels m+1..m+x and is reported not growable.
 
     An edge (a, b) lengthens exactly when it straddles m (one endpoint
     <= m < the other) and 2|a-b| < v: its non-wrapping length gains x
@@ -316,15 +329,21 @@ def is_growable_at(path: HamPath, x: int, m: int) -> bool:
     if not (0 <= m < v):
         raise ValueError(f"m={m} out of range 0 <= m < v for v={v}")
     if m - x + 1 < 0:
-        return False
-    window = range(m - x + 1, m + 1)
-    incident = {y: 0 for y in window}
+        return None
+    incident = {y: 0 for y in range(m - x + 1, m + 1)}
+    ends = {}
     for a, b in lengthened_pairs(path, x, m):
         hits = [y for y in (a, b) if y in incident]
         if len(hits) != 1:
-            return False
+            return None
         incident[hits[0]] += 1
-    return all(n == 1 for n in incident.values())
+        ends[a, b] = hits[0]
+    return ends if all(n == 1 for n in incident.values()) else None
+
+
+def is_growable_at(path: HamPath, x: int, m: int) -> bool:
+    """Test x-growability at label m; see window_endpoints for the rule."""
+    return window_endpoints(path, x, m) is not None
 
 
 def growth_points(path: HamPath) -> list[GrowPoint]:
@@ -338,6 +357,28 @@ def growth_points(path: HamPath) -> list[GrowPoint]:
     ]
 
 
+def trace_params(**params) -> MappingProxyType:
+    """The read-only parameters of one trace entry, lists made tuples.
+
+    Certificates share trace entries (k grows repeat one entry, and
+    every answer grown from a seed starts with the seed's), so each
+    entry is built once, where it is made, and cannot be edited."""
+    return MappingProxyType({k: _nested(v, tuple) for k, v in params.items()})
+
+
+def plain_params(params) -> dict:
+    """A trace entry's parameters as a fresh dict of plain lists, the
+    form that to_dict and the CLI print."""
+    return {k: _nested(v, list) for k, v in params.items()}
+
+
+def _nested(value, sequence):
+    """value with every list or tuple in it rebuilt as sequence."""
+    if isinstance(value, (list, tuple)):
+        return sequence(_nested(v, sequence) for v in value)
+    return value
+
+
 def translate(seq, m: int) -> list[int]:
     """Elementwise shift; a splice building block, not generally a HamPath."""
     return [y + m for y in seq]
@@ -345,22 +386,41 @@ def translate(seq, m: int) -> list[int]:
 
 @dataclass(frozen=True, slots=True)
 class Certificate:
-    """A verified realization with its known grow points and derivation."""
+    """A verified realization with its known grow points and derivation.
+
+    Construction checks the path against the multiset and every declared
+    grow point, raising when one fails.  carried, an init-only argument,
+    holds points brought over from an earlier path (a growth operation
+    relocates its input's points): each is checked once, kept when it
+    holds and dropped when it fails.  Without declared points the kept
+    ones keep their order; with both, all points are sorted by (x, m).
+    """
 
     path: HamPath
     multiset: LengthMultiset
     grow_points: tuple[GrowPoint, ...] = ()
-    trace: tuple[tuple[str, dict], ...] = field(default_factory=tuple)
+    trace: tuple[tuple[str, Mapping], ...] = field(default_factory=tuple)
+    carried: InitVar[tuple[GrowPoint, ...]] = ()
 
-    def __post_init__(self):
+    def __post_init__(self, carried):
         ok, why = check_realization(self.path, self.multiset)
         if not ok:
             raise PathError(f"certificate does not verify: {why}")
-        for gp in self.grow_points:
+        declared = self.grow_points
+        for gp in declared:
             if not is_growable_at(self.path, gp.x, gp.m):
                 raise NotGrowableError(
                     f"declared grow point ({gp.x}, {gp.m}) fails"
                 )
+        if carried:
+            kept = tuple(
+                gp
+                for gp in carried
+                if gp not in declared
+                and is_growable_at(self.path, gp.x, gp.m)
+            )
+            points = tuple(sorted(declared + kept)) if declared else kept
+            object.__setattr__(self, "grow_points", points)
 
     def point_for(self, x: int) -> GrowPoint:
         for gp in self.grow_points:
@@ -374,7 +434,9 @@ class Certificate:
             "path": list(self.path.vertices),
             "multiset": self.multiset.format(),
             "grow_points": [[gp.x, gp.m] for gp in self.grow_points],
-            "trace": [[name, dict(params)] for name, params in self.trace],
+            "trace": [
+                [name, plain_params(params)] for name, params in self.trace
+            ],
         }
 
     def to_json(self) -> str:
@@ -387,7 +449,8 @@ class Certificate:
             multiset=LengthMultiset.parse(data["multiset"]),
             grow_points=tuple(GrowPoint(x, m) for x, m in data["grow_points"]),
             trace=tuple(
-                (name, dict(params)) for name, params in data.get("trace", [])
+                (name, trace_params(**params))
+                for name, params in data.get("trace", [])
             ),
         )
 

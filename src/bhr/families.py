@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Certificate, GrowPoint, HamPath, LengthMultiset
+from .core import (
+    Certificate,
+    GrowPoint,
+    HamPath,
+    LengthMultiset,
+    trace_params,
+)
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,7 @@ def _cert(seq, counts, points) -> Certificate:
         path=HamPath.of(seq),
         multiset=LengthMultiset.from_counts(counts),
         grow_points=tuple(GrowPoint(x, m) for x, m in points),
-        trace=(("family", {"v": len(seq)}),),
+        trace=(("family", trace_params(v=len(seq))),),
     )
 
 

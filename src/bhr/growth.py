@@ -9,16 +9,24 @@ runs they want in place of the arithmetic ones (k x/2x swaps at one
 point, perfect parts, the even zigzags), so each of them is one pass
 too, however many swaps or grows it stands for.
 
+Growability is evaluated once per operation for its own point:
+_grown_vertices asks core.window_endpoints, which both decides that
+(x, m) is a grow point and names each lengthened pair's window endpoint.
+
 Grow-point bookkeeping: a known point (x', m') stays at m' if m' <= m
-and moves up by the number of inserted labels otherwise.  Relocated
-points are checked once, on the final path, and dropped if they fail.
-The returned Certificate is the single check of each result: it
-verifies the path against the operation's multiset and every declared
-point, so a successful return is itself a proof that the step is sound.
+and moves up by the number of inserted labels otherwise.  The relocated
+points go to the result's Certificate as carried points, which its
+construction checks once each on the final path, keeping those that
+hold and dropping those that fail; points the operation creates itself
+are declared, and one that fails raises.  The Certificate is the single
+check of each result: it verifies the path against the operation's
+multiset and every point, so a successful return is itself a proof
+that the step is sound.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .core import (
@@ -30,11 +38,11 @@ from .core import (
     PathError,
     embed,
     growth_points,
-    is_growable_at,
     is_perfect,
-    lengthened_pairs,
     linear_diffs,
+    trace_params,
     translate,
+    window_endpoints,
 )
 
 
@@ -64,31 +72,36 @@ def _grown_vertices(
 ) -> list[int]:
     """Vertex list of k grows at (x, m), built in one pass.
 
-    Each lengthened pair (a, b) has one window endpoint w.  Growing once
-    inserts w + x next to w; growing again at m lengthens the new edge
-    (w, w + x) and inserts w + x next to w once more, pushing the earlier
-    label out to w + 2x.  So k grows insert the run w + x, ..., w + kx
-    between the pair's endpoints, ordered outward from w, and shift every
-    label above m by kx.
+    window_endpoints checks that (x, m) is a grow point and, in the same
+    pass, gives each lengthened pair (a, b) its one window endpoint w;
+    this is the operation's only growability check of (x, m).  Growing
+    once inserts w + x next to w; growing again at m lengthens the new
+    edge (w, w + x) and inserts w + x next to w once more, pushing the
+    earlier label out to w + 2x.  So k grows insert the run
+    w + x, ..., w + kx between the pair's endpoints, ordered outward
+    from w, and shift every label above m by kx.
 
     runs maps a window label w to the run to insert instead, also
     ordered outward from w; it excludes w and ends at w + kx, so the
     pair's far edge keeps its length.  Nothing checks here that the
-    runs jointly use each new label once: the caller's Certificate
-    checks the final path.
+    runs jointly use each new label once, nor the other grow points:
+    the caller's Certificate checks the final path, and drops the
+    relocated points that no longer hold.
     """
     if k < 0:
         raise ValueError(f"grow count k={k} must be nonnegative")
-    if not is_growable_at(path, x, m):
+    ends = window_endpoints(path, x, m)
+    if ends is None:
         raise NotGrowableError(f"path is not {x}-growable at {m}")
-    lo = m - x + 1
     shift = k * x
-    outward = {w: range(w + x, w + shift + 1, x) for w in range(lo, m + 1)}
+    outward = {
+        w: range(w + x, w + shift + 1, x) for w in range(m - x + 1, m + 1)
+    }
     if runs:
         outward.update(runs)
     inserted = {
-        (a, b): outward[a] if lo <= a <= m else outward[b][::-1]
-        for a, b in lengthened_pairs(path, x, m)
+        pair: outward[w] if w == pair[0] else outward[w][::-1]
+        for pair, w in ends.items()
     }
     vs = path.vertices
     out = [vs[0] if vs[0] <= m else vs[0] + shift]
@@ -101,37 +114,36 @@ def _grown_vertices(
     return out
 
 
-def _relocated(points, m: int, shift: int) -> list[GrowPoint]:
+def _relocated(points, m: int, shift: int) -> tuple[GrowPoint, ...]:
     """Grow points moved across grows at m that added shift labels:
-    m' <= m keeps its label, m' > m moves up by shift."""
-    return [GrowPoint(gp.x, embed(gp.m, shift, m)) for gp in points]
-
-
-def _surviving(path: HamPath, points) -> tuple[GrowPoint, ...]:
-    """The relocated points that still hold on the final path.
+    m' <= m keeps its label, m' > m moves up by shift.
 
     Relocation usually preserves growability, but an edge sitting
     exactly at the wrap threshold can start lengthening once v grows,
-    so a point that fails is silently dropped.  A later step that needs
-    it fails loudly in point_for.
+    so the result's Certificate checks these as carried points and
+    drops one that fails.  A later step that needs it fails loudly in
+    point_for.
     """
-    return tuple(gp for gp in points if is_growable_at(path, gp.x, gp.m))
+    return tuple(GrowPoint(gp.x, embed(gp.m, shift, m)) for gp in points)
 
 
-def _certify(path, expected, points, trace, op: str) -> Certificate:
+def _certify(
+    op: str, path, expected, trace, declared=(), carried=()
+) -> Certificate:
     """The one check of an operation's result: the Certificate verifies
-    the path against expected and every declared point.  A multiset
-    mismatch means the construction does not apply to this input and is
-    reported as NotGrowableError."""
+    the path against expected and every declared point, and keeps the
+    carried points that hold.  A multiset mismatch means the
+    construction does not apply to this input and is reported as
+    NotGrowableError."""
     try:
-        return Certificate(path, expected, points, trace)
+        return Certificate(path, expected, declared, trace, carried)
     except PathError as exc:
         raise NotGrowableError(f"{op}: {exc}") from exc
 
 
-def _grow_steps(x: int, m: int, k: int) -> tuple[tuple[str, dict], ...]:
-    """Trace of k grows at (x, m): one shared entry, repeated."""
-    return (("grow", {"x": x, "m": m}),) * k
+def _grow_steps(x: int, m: int, k: int) -> tuple[tuple[str, Mapping], ...]:
+    """Trace of k grows at (x, m): one shared read-only entry, repeated."""
+    return (("grow", trace_params(x=x, m=m)),) * k
 
 
 def grow(cert: Certificate, x: int, m: int, k: int = 1) -> Certificate:
@@ -145,17 +157,17 @@ def grow(cert: Certificate, x: int, m: int, k: int = 1) -> Certificate:
     The result equals k single grows at the same point, built in one
     pass: the lengthened pairs are computed once, on the input path.
 
-    Known grow points are relocated by kx and checked once, on the
-    final path; those that fail are dropped.  The returned Certificate
-    is the single check of the new path.
+    Growability at (x, m) is evaluated once, by _grown_vertices.  Known
+    grow points are relocated by kx and carried into the returned
+    Certificate, which checks each once on the final path and drops
+    those that fail; it is the single check of the new path.
     """
-    path = HamPath.of(_grown_vertices(cert.path, x, m, k))
     return _certify(
-        path,
-        cert.multiset.add_copies(x, k * x),
-        _surviving(path, _relocated(cert.grow_points, m, k * x)),
-        cert.trace + _grow_steps(x, m, k),
         "grow",
+        HamPath.of(_grown_vertices(cert.path, x, m, k)),
+        cert.multiset.add_copies(x, k * x),
+        cert.trace + _grow_steps(x, m, k),
+        carried=_relocated(cert.grow_points, m, k * x),
     )
 
 
@@ -187,14 +199,14 @@ def splice_perfect(cert: Certificate, k_real: HamPath) -> Certificate:
     run = translate(k_real.vertices[1:], m)
     path = HamPath.of(_grown_vertices(cert.path, 1, m, k, {m: run}))
     return _certify(
+        "splice_perfect",
         path,
         # the k grown 1s are overwritten by K
         cert.multiset + linear_diffs(k_real),
-        tuple(growth_points(path)),
         cert.trace
         + _grow_steps(1, m, k)
-        + (("splice", {"k_real": list(k_real.vertices)}),),
-        "splice_perfect",
+        + (("splice", trace_params(k_real=k_real.vertices)),),
+        declared=tuple(growth_points(path)),
     )
 
 
@@ -220,9 +232,10 @@ def even_grow(cert: Certificate, y: int, z: int) -> Certificate:
     Grows 2s until two interleaved arithmetic runs cover the new labels,
     then rewrites the runs with two explicit sequences whose lengths are
     {1^(y-2), y^(y-1), z^2} and {1^(z-2), y^2, z^(z-1)}.  The result is
-    y-growable at m+y-1 and z-growable at m+2y+z-2; the input's points
-    (the consumed 2-point included) are relocated and kept where they
-    still hold.
+    y-growable at m+y-1 and z-growable at m+2y+z-2: these two points
+    are declared, so the Certificate raises if one fails.  The input's
+    points (the consumed 2-point included) are relocated and carried,
+    kept where they still hold, and all points are sorted by (x, m).
     """
     if y % 2 or z % 2:
         raise NotGrowableError("y and z must be even")
@@ -245,21 +258,15 @@ def even_grow(cert: Certificate, y: int, z: int) -> Certificate:
         if y != z
         else {1: y + z - 4, y: 2 * y + 2}
     )
-    new_points = [GrowPoint(y, m + y - 1), GrowPoint(z, m + 2 * y + z - 2)]
-    # the new points are declared, so the Certificate rejects a failing
-    # one; carried-over points are dropped on failure, as in grow
-    path = HamPath.of(vs)
-    carried = _surviving(
-        path,
-        [p for p in _relocated(cert.grow_points, m, 2 * k)
-         if p not in new_points],
-    )
     return _certify(
-        path,
-        cert.multiset + added,
-        tuple(sorted(new_points + list(carried))),
-        cert.trace + _grow_steps(2, m, k) + (("even_grow", {"y": y, "z": z}),),
         "even_grow",
+        HamPath.of(vs),
+        cert.multiset + added,
+        cert.trace
+        + _grow_steps(2, m, k)
+        + (("even_grow", trace_params(y=y, z=z)),),
+        declared=(GrowPoint(y, m + y - 1), GrowPoint(z, m + 2 * y + z - 2)),
+        carried=_relocated(cert.grow_points, m, 2 * k),
     )
 
 
@@ -285,15 +292,14 @@ def x2x_swap(cert: Certificate, x: int, i: int, k: int = 1) -> Certificate:
         w: [w + (j + d) * x for j in range(0, 3 * k, 3) for d in (2, 1, 3)]
         for w in range(m + 1 - x, m + 1 - x + i)
     }
-    path = HamPath.of(_grown_vertices(cert.path, x, m, 3 * k, runs))
     added = {x: k * (3 * x - 2 * i), 2 * x: k * 2 * i}
-    swap = _grow_steps(x, m, 3) + (("x2x_swap", {"x": x, "i": i}),)
+    swap = _grow_steps(x, m, 3) + (("x2x_swap", trace_params(x=x, i=i)),)
     return _certify(
-        path,
-        cert.multiset + LengthMultiset.from_counts(added),
-        _surviving(path, _relocated(cert.grow_points, m, 3 * k * x)),
-        cert.trace + swap * k,
         "x2x_swap",
+        HamPath.of(_grown_vertices(cert.path, x, m, 3 * k, runs)),
+        cert.multiset + LengthMultiset.from_counts(added),
+        cert.trace + swap * k,
+        carried=_relocated(cert.grow_points, m, 3 * k * x),
     )
 
 
@@ -318,15 +324,14 @@ def perf_grow(cert: Certificate, x: int, parts) -> Certificate:
         lo + t: translate([x * e for e in part.vertices[1:]], lo + t)
         for t, part in enumerate(parts)
     }
-    path = HamPath.of(_grown_vertices(cert.path, x, m, k, runs))
     expected = cert.multiset
     for part in parts:
         expected = expected + linear_diffs(part).scale(x)
-    step = ("perf_grow", {"x": x, "parts": [list(p.vertices) for p in parts]})
+    step = ("perf_grow", trace_params(x=x, parts=[p.vertices for p in parts]))
     return _certify(
-        path,
-        expected,
-        _surviving(path, _relocated(cert.grow_points, m, k * x)),
-        cert.trace + _grow_steps(x, m, k) + (step,),
         "perf_grow",
+        HamPath.of(_grown_vertices(cert.path, x, m, k, runs)),
+        expected,
+        cert.trace + _grow_steps(x, m, k) + (step,),
+        carried=_relocated(cert.grow_points, m, k * x),
     )

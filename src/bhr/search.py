@@ -21,6 +21,7 @@ from .core import (
     cyclic_lengths,
     edge_length,
     is_admissible,
+    trace_params,
 )
 
 DEFAULT_BRUTE_CAP = 14
@@ -146,11 +147,9 @@ def local_search(
                 trace=(
                     (
                         "local_search",
-                        {
-                            "seed": cfg.rng_seed,
-                            "restart": restart,
-                            "steps": steps,
-                        },
+                        trace_params(
+                            seed=cfg.rng_seed, restart=restart, steps=steps
+                        ),
                     ),
                 ),
             )
@@ -202,7 +201,7 @@ def brute_force(
         return Certificate(
             path=HamPath.of(path),
             multiset=ms,
-            trace=(("brute_force", {"v": v}),),
+            trace=(("brute_force", trace_params(v=v)),),
         )
     return None
 

@@ -62,6 +62,17 @@ def test_grow_worked_example_json(capsys):
     data = json.loads(out)
     assert data["path"] == [9, 7, 6, 3, 0, 10, 1, 4, 8, 5, 2, 11]
     assert data["multiset"] == "1 2^2 3^7 4"
+    # the human form prints trace params as plain dicts
+    code, out, _ = run(capsys, "grow", "--path", DEMO9, "--at", "3,2")
+    assert code == EXIT_OK
+    assert "  grow {'x': 3, 'm': 2}" in out.splitlines()
+
+
+def test_grow_takes_exactly_one_of_at_and_schedule(capsys):
+    for how in (("--at", "3,2", "--schedule", "1*2"), ()):
+        code, out, err = run(capsys, "grow", "--path", DEMO9, *how)
+        assert code == EXIT_USAGE, how
+        assert out == "" and "error: " in err, how
 
 
 def test_grow_schedule(capsys):

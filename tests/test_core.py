@@ -25,6 +25,7 @@ from bhr.core import (
     linear_diffs,
     translate,
     verify_realization,
+    window_endpoints,
 )
 
 
@@ -223,6 +224,60 @@ def test_lengthening_does_not_depend_on_x():
         assert len(ms) == len(set(ms)), path
 
 
+def _ref_window_endpoints(path, x, m):
+    """The growability test as first written, from embed and edge_length:
+    the window endpoint of each lengthened pair, or None."""
+    v = path.v
+    if m - x + 1 < 0:
+        return None
+    incident = {y: 0 for y in range(m - x + 1, m + 1)}
+    ends = {}
+    for a, b in path.pairs():
+        old = edge_length(a, b, v)
+        if edge_length(embed(a, x, m), embed(b, x, m), v + x) <= old:
+            continue
+        hits = [y for y in (a, b) if y in incident]
+        if len(hits) != 1:
+            return None
+        incident[hits[0]] += 1
+        ends[a, b] = hits[0]
+    return ends if all(n == 1 for n in incident.values()) else None
+
+
+def test_window_endpoints_matches_reference():
+    """On every seed and 200 random paths, at every (x, m): the kernel
+    is None exactly when the point is not growable, and otherwise maps
+    each lengthened pair to its unique window endpoint; cyclic_lengths
+    agrees with edge_length."""
+    from bhr.seeds import iter_seeds
+
+    rng = random.Random(13)
+    paths = [entry.path for entry in iter_seeds()]
+    for _ in range(200):
+        verts = list(range(rng.randint(2, 24)))
+        rng.shuffle(verts)
+        paths.append(HamPath.of(verts))
+    growable = 0
+    for path in paths:
+        v = path.v
+        assert cyclic_lengths(path) == LengthMultiset.from_lengths(
+            edge_length(a, b, v) for a, b in path.pairs()
+        )
+        for x in range(1, v // 2 + 1):
+            for m in range(v):
+                got = window_endpoints(path, x, m)
+                assert got == _ref_window_endpoints(path, x, m), (path, x, m)
+                assert is_growable_at(path, x, m) == (got is not None)
+                if got is not None:
+                    assert list(got) == lengthened_pairs(path, x, m)
+                    growable += 1
+    assert growable > 1000
+    demo9 = HamPath.of([6, 4, 3, 0, 7, 1, 5, 2, 8])
+    for x, m in ((0, 2), (5, 2), (3, -1), (3, 9)):
+        with pytest.raises(ValueError):
+            window_endpoints(demo9, x, m)
+
+
 def test_translate():
     assert translate([0, 2, 1, 3], 5) == [5, 7, 6, 8]
 
@@ -236,6 +291,8 @@ def test_certificate_roundtrip():
     )
     again = Certificate.from_json(cert.to_json())
     assert again == cert
+    with pytest.raises(TypeError):
+        again.trace[0][1]["table"] = "edited"
     cert.to_dict()["trace"][0][1]["table"] = "edited"
     assert cert.trace == (("seed", {"table": "demo"}),)
     data = json.loads(cert.to_json())

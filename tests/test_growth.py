@@ -17,8 +17,10 @@ from bhr.core import (
     is_growable_at,
     lengthened_pairs,
     linear_diffs,
+    trace_params,
     translate,
 )
+from bhr import core, growth
 from bhr.families import seed_for_residue
 from bhr.growth import (
     GrowthSchedule,
@@ -257,7 +259,7 @@ def _ref_perf_grow(cert, x, parts):
         added = added + linear_diffs(HamPath.of(p)).scale(x)
     return _ref_runs_op(
         cert, x, len(parts[0]) - 1, [[x * e for e in p] for p in parts],
-        added, ("perf_grow", {"x": x, "parts": parts}),
+        added, ("perf_grow", trace_params(x=x, parts=parts)),
     )
 
 
@@ -272,7 +274,7 @@ def _ref_splice(cert, k_real):
     path = HamPath.of(vs)
     cert2 = _ref_certify(
         path, cert.multiset + linear_diffs(HamPath.of(k_real)), [],
-        grown.trace + (("splice", {"k_real": k_real}),),
+        grown.trace + (("splice", trace_params(k_real=k_real)),),
     )
     return Certificate(
         path, cert2.multiset, tuple(growth_points(path)), cert2.trace
@@ -451,3 +453,37 @@ def test_k_fold_x2x_swap_matches_single_swaps():
                 assert got == want, (seed.path.vertices, x, i, k)
                 cases += 1
     assert cases == 5856
+
+
+def test_each_grow_point_is_checked_once_per_operation(monkeypatch):
+    """grow and x2x_swap evaluate growability once for the point they
+    grow at and once for each of the input's p points, which the result's
+    Certificate carries over and checks on the final path."""
+    calls = []
+    kernel = core.window_endpoints
+
+    def counting(path, x, m):
+        calls.append((x, m))
+        return kernel(path, x, m)
+
+    certs = [c for c in _seed_certs() if len(c.grow_points) >= 2]
+    monkeypatch.setattr(core, "window_endpoints", counting)
+    monkeypatch.setattr(growth, "window_endpoints", counting)
+    swaps = 0
+    for cert in certs:
+        p = len(cert.grow_points)
+        for gp in cert.grow_points:
+            calls.clear()
+            grow(cert, gp.x, gp.m)
+            assert len(calls) == 1 + p, (cert.path.vertices, gp, calls)
+            for i in range(gp.x + 1):
+                calls.clear()
+                try:
+                    x2x_swap(cert, gp.x, i)
+                except NotGrowableError:
+                    # the multiset check refused before any point check
+                    assert len(calls) == 1
+                    continue
+                assert len(calls) == 1 + p, (cert.path.vertices, gp, i)
+                swaps += 1
+    assert len(certs) > 100 and swaps > 100

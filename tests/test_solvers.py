@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from bhr import solvers
@@ -269,3 +271,22 @@ def test_rescued_replay_reports_the_grows_taken():
     assert step["schedule"] == [(2, 1), (1, 1)]
     plain = solve_u123(5, 6, 9).trace[0][1]
     assert "rescue" not in plain and plain["schedule"]
+
+
+def test_replay_trace_params_are_read_only():
+    """Answers grown from one seed share its trace entries, so editing
+    one answer's entry must fail rather than rename the seed in every
+    other answer; the printed forms stay plain dicts and lists."""
+    first, second = solve_u123(5, 6, 9), solve_u123(5, 6, 12)
+    seed = first.certificate.trace[0]
+    assert seed[0] == "seed" and seed[1] is second.certificate.trace[0][1]
+    with pytest.raises(TypeError):
+        seed[1]["variant"] = "edited"
+    grow_params = first.certificate.trace[1][1]
+    with pytest.raises(TypeError):
+        grow_params["x"] = 0
+    data = json.loads(json.dumps(first.to_dict()))
+    assert data["certificate"]["trace"][0] == [
+        "seed", {"table": seed[1]["table"], "variant": seed[1]["variant"]}
+    ]
+    assert type(first.certificate.to_dict()["trace"][1][1]) is dict
