@@ -9,6 +9,7 @@ x's hits every residue class mod x, which is what the general
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .core import (
@@ -216,11 +217,14 @@ def construct_1x(x: int, b: int) -> Certificate:
     return construct_1x_odd(x, b)
 
 
+@functools.lru_cache(maxsize=1024)
 def seed_for_residue(x: int, residue: int) -> Certificate:
     """A {1,x}-growable seed for {1^a', x^b'} with b' = residue mod x.
 
     b' runs over x+1 .. 2x, so every residue is reachable; a' = x-2
-    except for residue 1, where admissibility forces a' = x-1.
+    except for residue 1, where admissibility forces a' = x-1.  Each
+    argument pair builds and checks its seed once: a Certificate and
+    its trace are read-only, so every answer may share it.
     """
     if x < 4:
         raise ValueError("x must be at least 4")

@@ -9,23 +9,27 @@ runs they want in place of the arithmetic ones (k x/2x swaps at one
 point, perfect parts, the even zigzags), so each of them is one pass
 too, however many swaps or grows it stands for.
 
-Growability is evaluated once per operation for its own point:
+Growability is evaluated once per step for its own point:
 _grown_vertices asks core.window_endpoints, which both decides that
 (x, m) is a grow point and names each lengthened pair's window endpoint.
 
 Grow-point bookkeeping: a known point (x', m') stays at m' if m' <= m
-and moves up by the number of inserted labels otherwise.  The relocated
-points go to the result's Certificate as carried points, which its
-construction checks once each on the final path, keeping those that
-hold and dropping those that fail; points the operation creates itself
-are declared, and one that fails raises.  The Certificate is the single
-check of each result: it verifies the path against the operation's
-multiset and every point, so a successful return is itself a proof
-that the step is sound.
+and moves up by the number of inserted labels otherwise.  Steps run on
+an uncertified _Chain, which relocates the points without checking
+them; a later step that grows at one of them checks it then, in
+window_endpoints, and a step that finds no tracked point for its x
+raises.  Each operation is one chain step, multi_grow runs its whole
+schedule on one chain, and so does the solvers' swap pipeline.  A chain
+ends in one Certificate: it verifies the final path against the
+expected multiset, checks each relocated point once as a carried point,
+keeping those that hold and dropping those that fail, and raises if a
+point the operation declares itself fails.  A successful return is
+thus a proof that the whole chain is sound.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -59,10 +63,17 @@ class GrowthSchedule:
 
     @classmethod
     def parse(cls, text: str) -> "GrowthSchedule":
-        """Parse "2*4 3*3" as four 2-grows then three 3-grows."""
+        """Parse "2*4 3*3" as four 2-grows then three 3-grows: one or
+        more tokens, each x or x*count in digits."""
         steps = []
-        for tok in text.split():
-            x, _, count = tok.partition("*")
+        tokens = text.split()
+        if not tokens:
+            raise ValueError("empty schedule")
+        for tok in tokens:
+            match = re.fullmatch(r"([0-9]+)(?:\*([0-9]+))?", tok)
+            if not match:
+                raise ValueError(f"bad schedule token {tok!r}")
+            x, count = match.groups()
             steps.append((int(x), int(count) if count else 1))
         return cls(tuple(steps))
 
@@ -85,7 +96,7 @@ def _grown_vertices(
     ordered outward from w; it excludes w and ends at w + kx, so the
     pair's far edge keeps its length.  Nothing checks here that the
     runs jointly use each new label once, nor the other grow points:
-    the caller's Certificate checks the final path, and drops the
+    the chain's Certificate checks the final path, and drops the
     relocated points that no longer hold.
     """
     if k < 0:
@@ -120,30 +131,91 @@ def _relocated(points, m: int, shift: int) -> tuple[GrowPoint, ...]:
 
     Relocation usually preserves growability, but an edge sitting
     exactly at the wrap threshold can start lengthening once v grows,
-    so the result's Certificate checks these as carried points and
-    drops one that fails.  A later step that needs it fails loudly in
-    point_for.
+    so the chain's Certificate checks these as carried points and
+    drops one that fails.  A later step of the chain that grows at one
+    checks it in window_endpoints and fails loudly.
     """
     return tuple(GrowPoint(gp.x, embed(gp.m, shift, m)) for gp in points)
-
-
-def _certify(
-    op: str, path, expected, trace, declared=(), carried=()
-) -> Certificate:
-    """The one check of an operation's result: the Certificate verifies
-    the path against expected and every declared point, and keeps the
-    carried points that hold.  A multiset mismatch means the
-    construction does not apply to this input and is reported as
-    NotGrowableError."""
-    try:
-        return Certificate(path, expected, declared, trace, carried)
-    except PathError as exc:
-        raise NotGrowableError(f"{op}: {exc}") from exc
 
 
 def _grow_steps(x: int, m: int, k: int) -> tuple[tuple[str, Mapping], ...]:
     """Trace of k grows at (x, m): one shared read-only entry, repeated."""
     return (("grow", trace_params(x=x, m=m)),) * k
+
+
+class _Chain:
+    """Construction steps run from a Certificate, left uncertified.
+
+    The chain holds the current path, the multiset it should realize,
+    the trace and the relocated grow points.  A step builds its path
+    with _grown_vertices, which checks the one point it grows at, and
+    relocates the other points unchecked; certify() builds the one
+    Certificate of the whole chain.  Steps return the chain."""
+
+    __slots__ = ("path", "expected", "trace", "grow_points")
+
+    def __init__(self, cert: Certificate):
+        self.path = cert.path
+        self.expected = cert.multiset
+        self.trace = cert.trace
+        self.grow_points = cert.grow_points
+
+    # the first tracked x-point, or "certificate has no x-grow point"
+    point_for = Certificate.point_for
+
+    def step(self, x, m, k, added, trace, runs=None) -> "_Chain":
+        """k grows at (x, m), runs replacing the arithmetic ones; added
+        counts the lengths they add."""
+        self.path = HamPath.of(_grown_vertices(self.path, x, m, k, runs))
+        counts = self.expected.counts()
+        for length, count in added.items():
+            counts[length] = counts.get(length, 0) + count
+        self.expected = LengthMultiset.from_counts(counts)
+        self.trace = self.trace + trace
+        self.grow_points = _relocated(self.grow_points, m, k * x)
+        return self
+
+    def grow(self, x: int, m: int, k: int) -> "_Chain":
+        return self.step(x, m, k, {x: k * x}, _grow_steps(x, m, k))
+
+    def multi_grow(self, schedule: GrowthSchedule) -> "_Chain":
+        for index, (x, count) in enumerate(schedule.steps):
+            if not count:
+                continue
+            try:
+                self.grow(x, self.point_for(x).m, count)
+            except NotGrowableError as exc:
+                raise NotGrowableError(
+                    f"schedule step {index} (x={x}): {exc}"
+                ) from exc
+        return self
+
+    def swap(self, x: int, i: int, k: int) -> "_Chain":
+        """k x/2x swaps at the tracked x-point; see x2x_swap."""
+        if not (0 <= i <= x):
+            raise NotGrowableError(f"i={i} out of range 0..{x}")
+        m = self.point_for(x).m
+        runs = {
+            w: [w + (j + d) * x for j in range(0, 3 * k, 3) for d in (2, 1, 3)]
+            for w in range(m + 1 - x, m + 1 - x + i)
+        }
+        added = {x: k * (3 * x - 2 * i), 2 * x: k * 2 * i}
+        swap = _grow_steps(x, m, 3) + (("x2x_swap", trace_params(x=x, i=i)),)
+        return self.step(x, m, 3 * k, added, swap * k, runs)
+
+    def certify(self, op: str, declared=()) -> Certificate:
+        """The one check of the chain: the Certificate verifies the path
+        against the expected multiset and every declared point, and
+        keeps the carried points that hold.  A multiset mismatch means
+        the construction does not apply to this input and is reported
+        as NotGrowableError."""
+        try:
+            return Certificate(
+                self.path, self.expected, declared, self.trace,
+                self.grow_points,
+            )
+        except PathError as exc:
+            raise NotGrowableError(f"{op}: {exc}") from exc
 
 
 def grow(cert: Certificate, x: int, m: int, k: int = 1) -> Certificate:
@@ -160,30 +232,18 @@ def grow(cert: Certificate, x: int, m: int, k: int = 1) -> Certificate:
     Growability at (x, m) is evaluated once, by _grown_vertices.  Known
     grow points are relocated by kx and carried into the returned
     Certificate, which checks each once on the final path and drops
-    those that fail; it is the single check of the new path.
+    those that fail.
     """
-    return _certify(
-        "grow",
-        HamPath.of(_grown_vertices(cert.path, x, m, k)),
-        cert.multiset.add_copies(x, k * x),
-        cert.trace + _grow_steps(x, m, k),
-        carried=_relocated(cert.grow_points, m, k * x),
-    )
+    return _Chain(cert).grow(x, m, k).certify("grow")
 
 
 def multi_grow(cert: Certificate, schedule: GrowthSchedule) -> Certificate:
     """Apply the schedule left-to-right, each step as one k-fold grow
-    at the tracked grow point."""
-    for index, (x, count) in enumerate(schedule.steps):
-        if not count:
-            continue
-        try:
-            cert = grow(cert, x, cert.point_for(x).m, count)
-        except NotGrowableError as exc:
-            raise NotGrowableError(
-                f"schedule step {index} (x={x}): {exc}"
-            ) from exc
-    return cert
+    at the tracked grow point, all on one chain with one Certificate.
+    A schedule that grows nothing returns cert itself."""
+    if not any(count for _, count in schedule.steps):
+        return cert
+    return _Chain(cert).multi_grow(schedule).certify("multi_grow")
 
 
 def splice_perfect(cert: Certificate, k_real: HamPath) -> Certificate:
@@ -197,17 +257,14 @@ def splice_perfect(cert: Certificate, k_real: HamPath) -> Certificate:
     k = k_real.v - 1
     m = cert.point_for(1).m
     run = translate(k_real.vertices[1:], m)
-    path = HamPath.of(_grown_vertices(cert.path, 1, m, k, {m: run}))
-    return _certify(
-        "splice_perfect",
-        path,
-        # the k grown 1s are overwritten by K
-        cert.multiset + linear_diffs(k_real),
-        cert.trace
-        + _grow_steps(1, m, k)
-        + (("splice", trace_params(k_real=k_real.vertices)),),
-        declared=tuple(growth_points(path)),
+    splice = ("splice", trace_params(k_real=k_real.vertices))
+    # the k grown 1s are overwritten by K
+    chain = _Chain(cert).step(
+        1, m, k, dict(linear_diffs(k_real).items),
+        _grow_steps(1, m, k) + (splice,), {m: run},
     )
+    chain.grow_points = ()  # rescanned in full instead
+    return chain.certify("splice_perfect", tuple(growth_points(chain.path)))
 
 
 def _zigzag(lows: list[int], highs: list[int]) -> list[int]:
@@ -251,22 +308,15 @@ def even_grow(cert: Certificate, y: int, z: int) -> Certificate:
         list(range(2 * y + z, 2 * y + 2 * z - 1)),
     )
     runs = {m: translate(g[1:], m - 1), m - 1: translate(h[1:], m - 1)}
-    vs = _grown_vertices(cert.path, 2, m, k, runs)
-
-    added = LengthMultiset.from_counts(
+    added = (
         {1: y + z - 4, y: y + 1, z: z + 1}
         if y != z
         else {1: y + z - 4, y: 2 * y + 2}
     )
-    return _certify(
+    trace = _grow_steps(2, m, k) + (("even_grow", trace_params(y=y, z=z)),)
+    return _Chain(cert).step(2, m, k, added, trace, runs).certify(
         "even_grow",
-        HamPath.of(vs),
-        cert.multiset + added,
-        cert.trace
-        + _grow_steps(2, m, k)
-        + (("even_grow", trace_params(y=y, z=z)),),
         declared=(GrowPoint(y, m + y - 1), GrowPoint(z, m + 2 * y + z - 2)),
-        carried=_relocated(cert.grow_points, m, 2 * k),
     )
 
 
@@ -285,22 +335,7 @@ def x2x_swap(cert: Certificate, x: int, i: int, k: int = 1) -> Certificate:
     3k grows are built in one pass, and the result (path, grow points,
     multiset and trace) equals k single swaps.
     """
-    if not (0 <= i <= x):
-        raise NotGrowableError(f"i={i} out of range 0..{x}")
-    m = cert.point_for(x).m
-    runs = {
-        w: [w + (j + d) * x for j in range(0, 3 * k, 3) for d in (2, 1, 3)]
-        for w in range(m + 1 - x, m + 1 - x + i)
-    }
-    added = {x: k * (3 * x - 2 * i), 2 * x: k * 2 * i}
-    swap = _grow_steps(x, m, 3) + (("x2x_swap", trace_params(x=x, i=i)),)
-    return _certify(
-        "x2x_swap",
-        HamPath.of(_grown_vertices(cert.path, x, m, 3 * k, runs)),
-        cert.multiset + LengthMultiset.from_counts(added),
-        cert.trace + swap * k,
-        carried=_relocated(cert.grow_points, m, 3 * k * x),
-    )
+    return _Chain(cert).swap(x, i, k).certify("x2x_swap")
 
 
 def perf_grow(cert: Certificate, x: int, parts) -> Certificate:
@@ -324,14 +359,10 @@ def perf_grow(cert: Certificate, x: int, parts) -> Certificate:
         lo + t: translate([x * e for e in part.vertices[1:]], lo + t)
         for t, part in enumerate(parts)
     }
-    expected = cert.multiset
+    added = {}
     for part in parts:
-        expected = expected + linear_diffs(part).scale(x)
+        for length, count in linear_diffs(part).items:
+            added[x * length] = added.get(x * length, 0) + count
     step = ("perf_grow", trace_params(x=x, parts=[p.vertices for p in parts]))
-    return _certify(
-        "perf_grow",
-        HamPath.of(_grown_vertices(cert.path, x, m, k, runs)),
-        expected,
-        cert.trace + _grow_steps(x, m, k) + (step,),
-        carried=_relocated(cert.grow_points, m, k * x),
-    )
+    trace = _grow_steps(x, m, k) + (step,)
+    return _Chain(cert).step(x, m, k, added, trace, runs).certify("perf_grow")

@@ -31,7 +31,7 @@ from .core import (
     is_growable_at,
 )
 from .families import seed_for_residue
-from .growth import GrowthSchedule, grow, multi_grow, x2x_swap
+from .growth import GrowthSchedule, _Chain, grow, multi_grow
 from .search import SearchConfig, brute_force, local_search
 from . import seeds as seed_tables
 
@@ -311,20 +311,23 @@ def _swap_plan(seed_counts, target, x):
 def _swap_pipeline(ms, x, seeds) -> SolveOutcome | None:
     """Grow the first of the (trace label, seed) pairs that reaches ms
     by x/2x swaps, then x-grows and 1-grows.  Returns None when no seed
-    does."""
+    does.  The swaps and grows run on one chain, so each answer is
+    checked by one Certificate."""
     target = _mults(ms, 1, x, 2 * x)
     for (key, label), seed in seeds:
         plan = _swap_plan(_mults(seed.multiset, 1, x, 2 * x), target, x)
         if plan is None:
             continue
         i, full, x_grows, one_grows = plan
-        steps = tuple((l, k) for l, k in ((x, x_grows), (1, one_grows)) if k)
+        steps = GrowthSchedule(((x, x_grows), (1, one_grows)))
+        chain = _Chain(seed)
         try:
-            cert = x2x_swap(seed, x, i) if i else seed
+            if i:
+                chain.swap(x, i, 1)
             if full:
-                cert = x2x_swap(cert, x, x, full)
-            if steps:
-                cert = multi_grow(cert, GrowthSchedule(steps))
+                chain.swap(x, x, full)
+            chain.multi_grow(steps)
+            cert = chain.certify("swap pipeline") if any(plan) else seed
         except NotGrowableError:
             continue
         step = {

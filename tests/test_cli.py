@@ -84,6 +84,20 @@ def test_grow_schedule(capsys):
     assert json.loads(out)["multiset"] == "1^4 2^9 3^17 4"
 
 
+def test_grow_schedule_must_parse(capsys):
+    for schedule, why in (
+        ("", "empty schedule"),
+        ("2*", "bad schedule token '2*'"),
+        ("1*x", "bad schedule token '1*x'"),
+        ("2*3*4", "bad schedule token '2*3*4'"),
+    ):
+        code, out, err = run(
+            capsys, "grow", "--path", DEMO9, "--schedule", schedule
+        )
+        assert code == EXIT_USAGE, schedule
+        assert out == "" and err == f"error: {why}\n", schedule
+
+
 def test_solve_json_roundtrips_through_verify(capsys):
     code, out, _ = run(capsys, "solve", "1 2^2 3^3", "--json")
     assert code == EXIT_OK

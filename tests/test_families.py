@@ -129,3 +129,7 @@ def test_seed_for_residue():
             assert {gp.x for gp in cert.grow_points} == {1, x}
             seen.add(b % x)
         assert seen == set(range(x))
+
+
+def test_seed_for_residue_is_built_once_per_argument_pair():
+    assert seed_for_residue(6, 2) is seed_for_residue(6, 2)

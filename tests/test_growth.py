@@ -20,7 +20,7 @@ from bhr.core import (
     trace_params,
     translate,
 )
-from bhr import core, growth
+from bhr import core, growth, solvers
 from bhr.families import seed_for_residue
 from bhr.growth import (
     GrowthSchedule,
@@ -55,6 +55,16 @@ def test_schedule_parse():
     assert GrowthSchedule.parse("5").steps == ((5, 1),)
     with pytest.raises(ValueError):
         GrowthSchedule.parse("0*2")
+    assert GrowthSchedule.parse(" 1*0\t2 ").steps == ((1, 0), (2, 1))
+    for text in ("2*", "*3", "1*x", "2*3*4", "-1", "1*-2", "2**3", "x"):
+        with pytest.raises(ValueError, match="bad schedule token"):
+            GrowthSchedule.parse(text)
+    for text in ("", "  "):
+        with pytest.raises(ValueError, match="empty schedule"):
+            GrowthSchedule.parse(text)
+    # built in code, an empty schedule is valid and grows nothing
+    demo9 = _demo9()
+    assert multi_grow(demo9, GrowthSchedule(())) is demo9
 
 
 def test_grow_worked_example():
@@ -487,3 +497,98 @@ def test_each_grow_point_is_checked_once_per_operation(monkeypatch):
                 assert len(calls) == 1 + p, (cert.path.vertices, gp, i)
                 swaps += 1
     assert len(certs) > 100 and swaps > 100
+
+
+# ---------------------------------------------------------------------------
+# Differential tests for the chain: a schedule or a swap pipeline runs all
+# of its steps uncertified and builds one Certificate at the end, and must
+# give what the public operations give when each step is certified.
+
+
+def _chained_grows(cert, steps):
+    """The schedule as one certified public grow per step."""
+    for x, count in steps:
+        if count:
+            cert = grow(cert, x, cert.point_for(x).m, count)
+    return cert
+
+
+def test_multi_grow_matches_chained_grows():
+    rng = random.Random(8)
+    certs = _seed_certs()
+    refused = 0
+    for _ in range(3000):
+        cert = rng.choice(certs)
+        xs = sorted({gp.x for gp in cert.grow_points})
+        if rng.random() < 0.05:
+            xs.append(xs[-1] + 1)  # a length the seed has no point for
+        steps = tuple(
+            (rng.choice(xs), rng.randint(0, 6))
+            for _ in range(rng.randint(2, 6))
+        )
+        want = _outcome(_chained_grows, cert, steps)
+        got = _outcome(multi_grow, cert, GrowthSchedule(steps))
+        assert got == want, (cert.path.vertices, steps)
+        refused += got == "NotGrowableError"
+    # refusals (no point for x, or one dropped on the way) stay rare
+    assert 0 < refused < 300, refused
+
+
+def _composed_swap_pipeline(ms, x, seeds):
+    """The swap pipeline as public operations, each certified: the
+    partial swap, the k-fold full swap, then the grows."""
+    target = solvers._mults(ms, 1, x, 2 * x)
+    for seed in seeds:
+        plan = solvers._swap_plan(
+            solvers._mults(seed.multiset, 1, x, 2 * x), target, x
+        )
+        if plan is None:
+            continue
+        i, full, x_grows, one_grows = plan
+        try:
+            cert = x2x_swap(seed, x, i) if i else seed
+            if full:
+                cert = x2x_swap(cert, x, x, full)
+            return multi_grow(
+                cert, GrowthSchedule(((x, x_grows), (1, one_grows)))
+            )
+        except NotGrowableError:
+            continue
+    return None
+
+
+def _pipeline_grids():
+    """(target, x, seeds, solver, args) over criterion 5's solve_1x2x
+    grid and a solve_136 grid, both in the proven range."""
+    for x in range(4, 11):
+        for c in range(0, 21, 2):
+            b0 = 5 * x - 2 + c // 2
+            for b in range(b0, b0 + x):
+                for a in (x - 2, x - 1, x):
+                    ms = LengthMultiset.from_counts({1: a, x: b, 2 * x: c})
+                    residue = (b + c % (2 * x)) % x
+                    seed = seed_for_residue(x, residue)
+                    yield ms, x, [seed], solvers.solve_1x2x, (a, b, c, x)
+    g_seeds = [entry.certificate() for entry in seeds.table("u136")]
+    for c in range(40):
+        bound = 13 + c // 2 if c % 2 == 0 else 18 + (c - 1) // 2
+        for a in range(1, 5):
+            for b in range(bound, bound + 6):
+                ms = LengthMultiset.from_counts({1: a, 3: b, 6: c})
+                yield ms, 3, g_seeds, solvers.solve_136, (a, b, c)
+
+
+def test_swap_pipeline_matches_composed_operations():
+    solved = 0
+    for ms, x, seeds_in_order, solver, args in _pipeline_grids():
+        if not core.is_admissible(ms).ok:
+            continue
+        out = solver(*args)
+        assert out.status == "solved", ms.format()
+        want = _composed_swap_pipeline(ms, x, seeds_in_order)
+        got = out.certificate
+        assert (got.path, got.grow_points, got.multiset, got.trace) == (
+            want.path, want.grow_points, want.multiset, want.trace
+        ), ms.format()
+        solved += 1
+    assert solved == 2420, solved

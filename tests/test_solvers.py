@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from bhr import solvers
-from bhr.core import LengthMultiset, verify_realization
+from bhr import growth, solvers
+from bhr.core import Certificate, LengthMultiset, verify_realization
 from bhr.search import SearchConfig
 from bhr.solvers import (
     hr_bound,
@@ -238,25 +238,34 @@ def test_solve_answers_hold_the_callers_multiset():
 
 
 def test_large_swap_pipelines_fold_the_full_swaps(monkeypatch):
-    # the partial swap, then every full swap in one k-fold call, however
-    # many full swaps c asks for
-    calls = []
-    real = solvers.x2x_swap
+    # the partial swap, then every full swap in one k-fold step, however
+    # many full swaps c asks for; all on one chain, checked by a single
+    # Certificate
+    swaps, certs = [], []
+    swap, post_init = growth._Chain.swap, Certificate.__post_init__
 
-    def counting(cert, x, i, k=1):
-        calls.append(k)
-        return real(cert, x, i, k)
+    def counting_swap(chain, x, i, k):
+        swaps.append(k)
+        return swap(chain, x, i, k)
 
-    monkeypatch.setattr(solvers, "x2x_swap", counting)
+    def counting_post_init(cert, carried):
+        certs.append(cert)
+        return post_init(cert, carried)
+
+    monkeypatch.setattr(growth._Chain, "swap", counting_swap)
+    monkeypatch.setattr(Certificate, "__post_init__", counting_post_init)
     for text in ("1^3 5^2040 10^2058", "1^2 3^1000 6^1000"):
-        calls.clear()
         ms = LengthMultiset.parse(text)
+        solve(ms)  # builds the seed's own Certificate, if not yet built
+        swaps.clear()
+        certs.clear()
         out = solve(ms)
         _check_solved(out, ms.counts())
         plan = out.trace[0][1]
         assert plan["full_swaps"] > 100, text
-        assert len(calls) <= 2, (text, calls)
-        assert sum(calls) == plan["full_swaps"] + (plan["i"] > 0), text
+        assert len(swaps) <= 2, (text, swaps)
+        assert sum(swaps) == plan["full_swaps"] + (plan["i"] > 0), text
+        assert certs == [out.certificate], text
 
 
 def test_rescued_replay_reports_the_grows_taken():
