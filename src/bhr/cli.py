@@ -41,7 +41,11 @@ EXIT_VERIFY_FAILED = 5
 
 def _default_brute_cap() -> int:
     raw = os.environ.get("BHR_BRUTE_CAP")
-    return int(raw) if raw else search.DEFAULT_BRUTE_CAP
+    try:
+        return int(raw) if raw else search.DEFAULT_BRUTE_CAP
+    except ValueError:
+        why = f"BHR_BRUTE_CAP must be an integer: {raw!r}"
+        raise ValueError(why) from None
 
 
 def _json_path(data) -> HamPath:
@@ -238,8 +242,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = search.SearchConfig(rng_seed=args.seed)
+    cap = _default_brute_cap()
     print(f"seed: {args.seed}", file=sys.stderr)
-    report = search.sweep(args.vmax, cfg, definitive=args.definitive)
+    report = search.sweep(args.vmax, cfg, args.definitive, cap)
     if args.json:
         print(json.dumps({"schema": 1, "report": report}))
     else:

@@ -344,6 +344,8 @@ def perf_grow(cert: Certificate, x: int, parts) -> Certificate:
     linear realization.  Realizes L + x*L_1 + ... + x*L_x where L_t is
     the difference multiset of part t (each of size k).
     """
+    if x < 1:
+        raise NotGrowableError(f"x must be positive, got {x}")
     parts = [p if isinstance(p, HamPath) else HamPath.of(p) for p in parts]
     if len(parts) != x:
         raise NotGrowableError(f"need exactly {x} parts, got {len(parts)}")

@@ -178,7 +178,8 @@ def brute_force(
 
     def extend() -> bool:
         if len(path) == v:
-            return path[0] < path[-1]
+            # a 1-vertex path is its own reversal
+            return v == 1 or path[0] < path[-1]
         for w in range(v):
             if used[w]:
                 continue

@@ -1,19 +1,23 @@
 """Drivers that assemble verified realizations for the proven classes.
 
-solve() checks admissibility once, then dispatches on the underlying set
-U.  Sets of size <= 2 belong to the external-theorem region.  For
-{1,2,3}, {1,4,5} and the subsets of {1,2,3,4}, the table _DRIVERS says
-what to do: replay seed tables in order, name the external region the
-theory cites from earlier work, or choose between those by the number
+Every answer is made in one place, _answer: it checks admissibility,
+asks a driver for one trace step, and applies the search policy.  A
+driver step is (name, params, certificate or None).  A certificate is
+a solved answer.  A refusal names either the external-theorem region,
+which the theory cites from earlier work and which is always handled by
+search and flagged as such in the trace, or out_of_proven_range, which
+is searched only when fallback is requested.  The search runs
+local_search, then brute_force under brute_cap.
+
+solve() dispatches on the underlying set U.  Sets of size <= 2 belong
+to the external-theorem region.  For {1,2,3}, {1,4,5} and the subsets
+of {1,2,3,4}, the table _DRIVERS says what to do: replay seed tables in
+order, name the external region, or choose between those by the number
 of 1s.  The replay engine `_replay` grows the first seed that subsumes
 the target -- every length's deficit is a nonnegative multiple of the
 length and the seed declares a grow point for it.  {1,3,6} and
 {1,x,2x} (x >= 4) run the longer swap pipelines of solve_136 and
 solve_1x2x.
-
-Outside the proven ranges the drivers refuse (out_of_proven_range)
-unless fallback is requested; the external-theorem region is always
-handled by search and flagged as such in the trace.
 """
 
 from __future__ import annotations
@@ -36,11 +40,15 @@ from .search import SearchConfig, brute_force, local_search
 from . import seeds as seed_tables
 
 Trace = tuple[tuple[str, dict], ...]
+# a driver's one trace step: (name, params, certificate or None)
+Step = tuple[str, dict, Certificate | None]
+_EXTERNAL = "external-theorem region"
+_OUT_OF_RANGE = "out_of_proven_range"
 
 
 @dataclass(frozen=True, slots=True)
 class SolveOutcome:
-    """Result of a driver: a status, a certificate when solved, and the
+    """Result of a solve: a status, a certificate when solved, and the
     decisions taken along the way."""
 
     status: str  # solved | not_admissible | out_of_proven_range
@@ -67,26 +75,25 @@ class SolveOutcome:
         }
 
 
-def _inadmissible(ms: LengthMultiset) -> SolveOutcome | None:
-    """The not_admissible outcome for ms, or None when ms is admissible."""
-    adm = is_admissible(ms)
-    if adm.ok:
-        return None
-    return SolveOutcome(
-        "not_admissible",
-        admissibility=adm,
-        trace=(("not_admissible", {"why": adm.describe()}),),
-    )
-
-
-def _search_fallback(
-    ms: LengthMultiset,
-    cfg: SearchConfig | None,
-    trace: Trace,
-    brute_cap: int | None = None,
+def _answer(
+    ms: LengthMultiset, driver, fallback=False, cfg=None, brute_cap=None
 ) -> SolveOutcome:
-    cfg = cfg or SearchConfig()
-    cert = local_search(ms, cfg)
+    """The outcome for ms: not_admissible, else driver(ms)'s step under
+    the search policy of the module docstring."""
+    adm = is_admissible(ms)
+    if not adm.ok:
+        return SolveOutcome(
+            "not_admissible",
+            admissibility=adm,
+            trace=(("not_admissible", {"why": adm.describe()}),),
+        )
+    name, params, cert = driver(ms)
+    trace = ((name, params),)
+    if cert is not None:
+        return SolveOutcome("solved", certificate=cert, trace=trace)
+    if name == _OUT_OF_RANGE and not fallback:
+        return SolveOutcome(_OUT_OF_RANGE, trace=trace)
+    cert = local_search(ms, cfg or SearchConfig())
     if cert is None:
         try:
             cert = brute_force(ms, cap=brute_cap)
@@ -97,21 +104,6 @@ def _search_fallback(
         certificate=cert,
         trace=trace + (("search", {"found": cert is not None}),),
     )
-
-
-def _external(
-    ms: LengthMultiset, cfg, brute_cap, why: str
-) -> SolveOutcome:
-    return _search_fallback(
-        ms, cfg, (("external-theorem region", {"why": why}),), brute_cap
-    )
-
-
-def _out_of_range(ms, fallback, cfg, brute_cap, why: str) -> SolveOutcome:
-    trace = (("out_of_proven_range", {"why": why}),)
-    if fallback:
-        return _search_fallback(ms, cfg, trace, brute_cap)
-    return SolveOutcome("out_of_proven_range", trace=trace)
 
 
 def _schedule_for(seed: Certificate, target: dict[int, int]):
@@ -174,7 +166,7 @@ def _grow_to(cert: Certificate, target: dict[int, int], budget: int = 400):
     return rec(cert)
 
 
-def _replay(ms: LengthMultiset, table_ids) -> SolveOutcome | None:
+def _replay(ms: LengthMultiset, table_ids) -> Step | None:
     """Grow the first subsuming seed from the given tables (in table
     order) up to ms.  Returns None when no entry works."""
     target = ms.counts()
@@ -204,9 +196,7 @@ def _replay(ms: LengthMultiset, table_ids) -> SolveOutcome | None:
                     continue
                 step["schedule"] = _grows_taken(cert)
                 step["rescue"] = True
-            return SolveOutcome(
-                "solved", certificate=cert, trace=(("replay", step),)
-            )
+            return "replay", step, cert
     return None
 
 
@@ -253,39 +243,30 @@ _DRIVERS = {
 }
 
 
-def _drive(ms, rule, fallback, cfg, brute_cap) -> SolveOutcome:
-    """Answer an admissible ms by its row of _DRIVERS."""
+def _drive(ms, rule) -> Step:
+    """The step for an admissible ms by its row of _DRIVERS."""
     if isinstance(rule, dict):
         rule = rule.get(ms.multiplicity(1), _REGION_A)
     if isinstance(rule, str):
-        return _external(ms, cfg, brute_cap, rule)
-    return _replay(ms, rule) or _out_of_range(
-        ms, fallback, cfg, brute_cap, "no subsuming seed"
+        return _EXTERNAL, {"why": rule}, None
+    return _replay(ms, rule) or (
+        _OUT_OF_RANGE, {"why": "no subsuming seed"}, None
     )
 
 
-def solve_u123(
-    a: int, b: int, c: int, fallback=False, cfg=None, brute_cap=None
-) -> SolveOutcome:
+def solve_u123(a: int, b: int, c: int) -> SolveOutcome:
     """{1^a, 2^b, 3^c}; proof replay needs a, b, c >= 1."""
-    ms = LengthMultiset.from_counts({1: a, 2: b, 3: c})
-    return solve(ms, fallback, cfg, brute_cap)
+    return solve(LengthMultiset.from_counts({1: a, 2: b, 3: c}))
 
 
-def solve_u145(
-    a: int, b: int, c: int, fallback=False, cfg=None, brute_cap=None
-) -> SolveOutcome:
+def solve_u145(a: int, b: int, c: int) -> SolveOutcome:
     """{1^a, 4^b, 5^c}; proof replay needs a, b, c >= 1."""
-    ms = LengthMultiset.from_counts({1: a, 4: b, 5: c})
-    return solve(ms, fallback, cfg, brute_cap)
+    return solve(LengthMultiset.from_counts({1: a, 4: b, 5: c}))
 
 
-def solve_u1234(
-    a: int, b: int, c: int, d: int, fallback=False, cfg=None, brute_cap=None
-) -> SolveOutcome:
+def solve_u1234(a: int, b: int, c: int, d: int) -> SolveOutcome:
     """{1^a, 2^b, 3^c, 4^d}; solve()'s table picks the region by a."""
-    ms = LengthMultiset.from_counts({1: a, 2: b, 3: c, 4: d})
-    return solve(ms, fallback, cfg, brute_cap)
+    return solve(LengthMultiset.from_counts({1: a, 2: b, 3: c, 4: d}))
 
 
 def _swap_plan(seed_counts, target, x):
@@ -308,7 +289,7 @@ def _swap_plan(seed_counts, target, x):
     return i, full, (b - b_after) // x, a - a1
 
 
-def _swap_pipeline(ms, x, seeds) -> SolveOutcome | None:
+def _swap_pipeline(ms, x, seeds) -> Step | None:
     """Grow the first of the (trace label, seed) pairs that reaches ms
     by x/2x swaps, then x-grows and 1-grows.  Returns None when no seed
     does.  The swaps and grows run on one chain, so each answer is
@@ -337,43 +318,34 @@ def _swap_pipeline(ms, x, seeds) -> SolveOutcome | None:
             "x_grows": x_grows,
             "one_grows": one_grows,
         }
-        return SolveOutcome(
-            "solved", certificate=cert, trace=(("swap-pipeline", step),)
-        )
+        return "swap-pipeline", step, cert
     return None
 
 
-def solve_136(
-    a: int, b: int, c: int, fallback=False, cfg=None, brute_cap=None
-) -> SolveOutcome:
+def solve_136(a: int, b: int, c: int) -> SolveOutcome:
     """{1^a, 3^b, 6^c} via the g-seed swap pipeline.
 
     Proven range: a >= 1 and b >= 13 + c/2 (even c) or
     b >= 18 + (c-1)/2 (odd c).
     """
-    ms = LengthMultiset.from_counts({1: a, 3: b, 6: c})
-    return _inadmissible(ms) or _u136(ms, fallback, cfg, brute_cap)
+    return _answer(LengthMultiset.from_counts({1: a, 3: b, 6: c}), _u136)
 
 
-def _u136(ms, fallback, cfg, brute_cap) -> SolveOutcome:
+def _u136(ms) -> Step:
     a, b, c = _mults(ms, 1, 3, 6)
     bound = 13 + c // 2 if c % 2 == 0 else 18 + (c - 1) // 2
     if a < 1 or b < bound:
-        return _out_of_range(
-            ms, fallback, cfg, brute_cap, f"need a >= 1 and b >= {bound}"
-        )
+        return _OUT_OF_RANGE, {"why": f"need a >= 1 and b >= {bound}"}, None
     seeds = (
         (("seed", entry.variant), entry.certificate())
         for entry in seed_tables.table("u136")
     )
-    return _swap_pipeline(ms, 3, seeds) or _out_of_range(
-        ms, fallback, cfg, brute_cap, "no g-seed fits"
+    return _swap_pipeline(ms, 3, seeds) or (
+        _OUT_OF_RANGE, {"why": "no g-seed fits"}, None
     )
 
 
-def solve_1x2x(
-    a: int, b: int, c: int, x: int, fallback=False, cfg=None, brute_cap=None
-) -> SolveOutcome:
+def solve_1x2x(a: int, b: int, c: int, x: int) -> SolveOutcome:
     """{1^a, x^b, (2x)^c} for x >= 4 via residue seed plus swaps.
 
     Proven range: a >= x-2, c even, b >= 5x - 2 + c/2.
@@ -381,27 +353,22 @@ def solve_1x2x(
     if x < 4:
         raise ValueError("solve_1x2x needs x >= 4")
     ms = LengthMultiset.from_counts({1: a, x: b, 2 * x: c})
-    return _inadmissible(ms) or _u1x2x(ms, x, fallback, cfg, brute_cap)
+    return _answer(ms, lambda ms: _u1x2x(ms, x))
 
 
-def _u1x2x(ms, x, fallback, cfg, brute_cap) -> SolveOutcome:
+def _u1x2x(ms, x) -> Step:
     a, b, c = _mults(ms, 1, x, 2 * x)
     if c % 2 or a < x - 2 or b < 5 * x - 2 + c // 2:
-        return _out_of_range(
-            ms,
-            fallback,
-            cfg,
-            brute_cap,
-            f"need a >= {x - 2}, even c, b >= {5 * x - 2 + c // 2}",
-        )
+        why = f"need a >= {x - 2}, even c, b >= {5 * x - 2 + c // 2}"
+        return _OUT_OF_RANGE, {"why": why}, None
     i = (c % (2 * x)) // 2
     seed = seed_for_residue(x, (b + 2 * i) % x)
     # the residue-1 seed needs a' = x-1; an admissible instance always
     # clears it, so a refusal means the instance slipped outside the
     # argument
     label = ("seed_b", seed.multiset.multiplicity(x))
-    return _swap_pipeline(ms, x, ((label, seed),)) or _out_of_range(
-        ms, fallback, cfg, brute_cap, "seed multiplicities not subsumed"
+    return _swap_pipeline(ms, x, ((label, seed),)) or (
+        _OUT_OF_RANGE, {"why": "seed multiplicities not subsumed"}, None
     )
 
 
@@ -424,21 +391,23 @@ def hr_bound(ms) -> int:
 def solve(
     ms: LengthMultiset, fallback=False, cfg=None, brute_cap=None
 ) -> SolveOutcome:
-    """Check admissibility, then dispatch on ms's underlying set."""
-    refused = _inadmissible(ms)
-    if refused:
-        return refused
+    """Check admissibility, then dispatch on ms's underlying set.
+
+    fallback searches out_of_proven_range targets too; cfg is the
+    local_search budget and brute_cap the largest order brute_force
+    may then take (its default when None)."""
+    return _answer(ms, _route, fallback, cfg, brute_cap)
+
+
+def _route(ms) -> Step:
     u = ms.underlying_set
-    args = (fallback, cfg, brute_cap)
     if len(u) <= 2:
-        return _external(ms, cfg, brute_cap, "underlying set of size <= 2")
+        return _EXTERNAL, {"why": "underlying set of size <= 2"}, None
     if u in _DRIVERS:
-        return _drive(ms, _DRIVERS[u], *args)
+        return _drive(ms, _DRIVERS[u])
     if u == {1, 3, 6}:
-        return _u136(ms, *args)
+        return _u136(ms)
     x = sorted(u)[1]
     if x >= 4 and u == {1, x, 2 * x}:
-        return _u1x2x(ms, x, *args)
-    return _out_of_range(
-        ms, fallback, cfg, brute_cap, f"no driver for U = {sorted(u)}"
-    )
+        return _u1x2x(ms, x)
+    return _OUT_OF_RANGE, {"why": f"no driver for U = {sorted(u)}"}, None

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bhr import search
 from bhr.cli import (
     EXIT_NOT_ADMISSIBLE,
     EXIT_OK,
@@ -173,6 +174,33 @@ def test_sweep(capsys):
     assert [r["v"] for r in rows] == [2, 3, 4, 5, 6]
 
 
+def test_sweep_honours_brute_cap_env(capsys, monkeypatch):
+    # local_search realizes every multiset at these orders, so refuse
+    # it to send each one to brute_force
+    orders = []
+    brute_force = search.brute_force
+
+    def counting_brute_force(ms, cap=None):
+        orders.append(ms.v)
+        return brute_force(ms, cap=cap)
+
+    monkeypatch.setattr(search, "local_search", lambda ms, cfg: None)
+    monkeypatch.setattr(search, "brute_force", counting_brute_force)
+    assert run(capsys, "sweep", "--vmax", "7")[0] == EXIT_OK
+    assert sorted(set(orders)) == [2, 3, 4, 5, 6, 7]
+    orders.clear()
+    monkeypatch.setenv("BHR_BRUTE_CAP", "5")
+    code, out, _ = run(capsys, "sweep", "--vmax", "7", "--json")
+    assert code == EXIT_OK
+    assert sorted(set(orders)) == [2, 3, 4, 5]
+    rows = json.loads(out)["report"]
+    assert [r["unknown"] > 0 for r in rows] == [False] * 4 + [True] * 2
+    monkeypatch.setenv("BHR_BRUTE_CAP", "abc")
+    code, out, err = run(capsys, "sweep", "--vmax", "7")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: BHR_BRUTE_CAP must be an integer: 'abc'\n"
+
+
 def test_x2x_and_splice(capsys):
     g1path = "[6, 5, 1, 4, 0, 3, 2]"
     code, out, _ = run(
@@ -244,3 +272,14 @@ def test_perf_grow_parts_validation(capsys, tmp_path):
         code, out, err = perf_grow(bad)
         assert code == EXIT_USAGE, bad
         assert out == "" and err.startswith("error:"), bad
+
+
+def test_perf_grow_rejects_x_below_one(capsys, tmp_path):
+    parts = tmp_path / "parts.json"
+    parts.write_text("[]")
+    code, out, err = run(
+        capsys, "perf-grow", "--path", G1, "--x", "0",
+        "--parts", str(parts),
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and "Traceback" not in err

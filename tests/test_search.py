@@ -126,6 +126,12 @@ def test_brute_force_realizes():
     assert cert is not None and cert.multiset == ms
 
 
+def test_brute_force_realizes_the_empty_multiset():
+    # None would be a definitive "no realization", but [0] realizes it
+    cert = brute_force(LengthMultiset(()))
+    assert cert is not None and cert.path.vertices == (0,)
+
+
 def test_brute_force_definitive_none():
     # v = 6, five multiples of 2 exceed the divisor bound; no
     # realization exists and brute force proves it

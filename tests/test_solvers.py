@@ -150,7 +150,7 @@ def test_136_inadmissible():
 def test_136_out_of_range():
     out = solve_136(2, 9, 1)
     assert out.status == "out_of_proven_range"
-    out = solve_136(2, 9, 1, fallback=True)
+    out = solve(LengthMultiset.from_counts({1: 2, 3: 9, 6: 1}), fallback=True)
     assert out.status == "search_fallback" and out.ok
 
 
@@ -210,6 +210,46 @@ def test_solve_dispatch():
         cfg=SearchConfig(rng_seed=3),
     )
     assert out.status == "search_fallback" and out.ok
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_search_policy_per_refusal(fallback):
+    # an external-theorem region is always searched, an out-of-range
+    # refusal only with fallback; an inadmissible target never is
+    cases = [
+        ("3^6", "external-theorem region", True),
+        ("1^2 3^9 6", "out_of_proven_range", fallback),
+        ("1^3 2^3 5^4", "out_of_proven_range", fallback),
+    ]
+    for text, refusal, searched in cases:
+        out = solve(LengthMultiset.parse(text), fallback=fallback)
+        assert out.admissibility is None, text
+        if searched:
+            assert out.status == "search_fallback" and out.ok, text
+            assert [name for name, _ in out.trace] == [refusal, "search"]
+            assert out.trace[1][1] == {"found": True}, text
+        else:
+            assert (out.status, out.certificate) == (refusal, None), text
+            assert [name for name, _ in out.trace] == [refusal]
+        assert set(out.trace[0][1]) == {"why"}, text
+    out = solve(LengthMultiset.parse("5^3"), fallback=fallback)
+    assert (out.status, out.certificate) == ("not_admissible", None)
+    assert not out.admissibility.ok
+    assert [name for name, _ in out.trace] == ["not_admissible"]
+
+
+def test_solve_brute_cap_bounds_the_exhaustive_step(monkeypatch):
+    # with local_search refused, brute_force answers only when v is
+    # within brute_cap
+    monkeypatch.setattr(solvers, "local_search", lambda ms, cfg: None)
+    ms = LengthMultiset.parse("3^6")  # v = 7, external region
+    out = solve(ms, brute_cap=6)
+    assert out.status == "search_fallback" and not out.ok
+    assert out.trace[-1] == ("search", {"found": False})
+    out = solve(ms, brute_cap=7)
+    assert out.status == "search_fallback" and out.ok
+    assert out.trace[-1] == ("search", {"found": True})
+    assert out.certificate.trace[0][0] == "brute_force"
 
 
 def test_solve_deterministic():

@@ -4,8 +4,12 @@
 
 The sets are every criterion-4 target through solve() (all admissible
 multisets over {1,2,3}, {1,4,5} and {1,2,3,4} with v <= 30), the
-criterion-5 solve_1x2x grid, and a solve_136 grid (c < 40, a = 1..4,
-b from its bound - 1 to bound + 5).  Each answer is hashed as the repr
+criterion-5 solve_1x2x grid, a solve_136 grid (c < 40, a = 1..4,
+b from its bound - 1 to bound + 5), and solve()'s search policy: the
+two grids routed through solve(), then every admissible multiset over
+{1,2,5} and {1,2,6} with v <= 30 (no driver; their subsets give the
+|U| <= 2 targets), each with fallback off and then, for v <= 30, on.
+Each answer is hashed as the repr
 of (target, status, outcome trace, path, grow points, multiset items,
 certificate trace in to_dict form), one line per target, so two
 checkouts that print the same digests gave the same answers.  The
@@ -20,6 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from bhr.core import LengthMultiset  # noqa: E402
 from bhr.search import enumerate_admissible  # noqa: E402
 from bhr.solvers import solve, solve_136, solve_1x2x  # noqa: E402
 
@@ -49,21 +54,53 @@ def criterion_4():
                     yield ms.items, solve(ms)
 
 
-def criterion_5():
+def _grid_1x2x():
     for x in range(4, 11):
         for c in range(0, 21, 2):
             b0 = 5 * x - 2 + c // 2
             for b in range(b0, b0 + x):
                 for a in (x - 2, x - 1, x):
-                    yield (a, b, c, x), solve_1x2x(a, b, c, x)
+                    yield a, b, c, x
 
 
-def grid_136():
+def _grid_136():
     for c in range(40):
         bound = 13 + c // 2 if c % 2 == 0 else 18 + (c - 1) // 2
         for a in range(1, 5):
             for b in range(bound - 1, bound + 6):
-                yield (a, b, c), solve_136(a, b, c)
+                yield a, b, c
+
+
+def criterion_5():
+    for key in _grid_1x2x():
+        yield key, solve_1x2x(*key)
+
+
+def grid_136():
+    for key in _grid_136():
+        yield key, solve_136(*key)
+
+
+def routes():
+    targets = [
+        LengthMultiset.from_counts({1: a, x: b, 2 * x: c})
+        for a, b, c, x in _grid_1x2x()
+    ]
+    targets += [
+        LengthMultiset.from_counts({1: a, 3: b, 6: c})
+        for a, b, c in _grid_136()
+    ]
+    seen = set()
+    for v in range(2, 31):
+        for lengths in [(1, 2, 5), (1, 2, 6)]:
+            for ms in enumerate_admissible(v, lengths=lengths):
+                if ms not in seen:
+                    seen.add(ms)
+                    targets.append(ms)
+    for fallback in (False, True):
+        for ms in targets:
+            if not fallback or ms.v <= 30:
+                yield (ms.items, fallback), solve(ms, fallback=fallback)
 
 
 def main() -> int:
@@ -71,6 +108,7 @@ def main() -> int:
         ("criterion-4 solve", criterion_4()),
         ("criterion-5 solve_1x2x", criterion_5()),
         ("solve_136 grid", grid_136()),
+        ("solve() routes, fallback off and on", routes()),
     ):
         digest = hashlib.sha256()
         count = 0
