@@ -5,7 +5,9 @@ path JSON ("[0,5,1,2,6,3,4]") are shared by every command.  With
 --json, output is a schema-versioned JSON document on stdout; otherwise
 a short human-readable summary.  Exit codes: 0 success, 1 usage error,
 2 not admissible, 3 out of proven range, 4 search failure,
-5 verification failure.
+5 verification failure.  A command returns a Certificate for main to
+print, or prints and returns an exit code; the growth commands take the
+Certificate read from --path and --multiset.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import sys
 from . import families, growth, search, seeds, solvers
 from .core import (
     Certificate,
-    GrowPoint,
     HamPath,
     LengthMultiset,
     MultisetError,
@@ -66,12 +67,13 @@ def _parse_path(text: str) -> HamPath:
     return _json_path(_load_json(text, "path"))
 
 
-def _emit(args, payload: dict, human: str) -> None:
+def _emit(args, payload: dict, *lines: str) -> None:
+    """Print payload as a JSON document, or else the human lines."""
     if args.json:
-        payload.setdefault("schema", 1)
-        print(json.dumps(payload))
+        print(json.dumps({"schema": 1, **payload}))
     else:
-        print(human)
+        for line in lines:
+            print(line)
 
 
 def _emit_cert(args, cert: Certificate) -> None:
@@ -118,44 +120,30 @@ def cmd_admissible(args) -> int:
     return EXIT_OK if verdict.ok else EXIT_NOT_ADMISSIBLE
 
 
-def cmd_grow(args) -> int:
-    cert = _cert_from_args(args)
-    if args.at:
-        try:
-            x, m = (int(t) for t in args.at.split(","))
-        except ValueError:
-            print("--at expects x,m", file=sys.stderr)
-            return EXIT_USAGE
-        cert = growth.grow(cert, x, m)
-    else:
-        cert = growth.multi_grow(
-            cert, growth.GrowthSchedule.parse(args.schedule)
-        )
-    _emit_cert(args, cert)
-    return EXIT_OK
+def cmd_grow(cert, args) -> Certificate:
+    if args.schedule is not None:
+        schedule = growth.GrowthSchedule.parse(args.schedule)
+        return growth.multi_grow(cert, schedule)
+    try:
+        x, m = (int(t) for t in args.at.split(","))
+    except ValueError:
+        raise ValueError("--at expects x,m") from None
+    return growth.grow(cert, x, m)
 
 
-def cmd_splice(args) -> int:
-    cert = _cert_from_args(args)
-    k_real = _parse_path(args.kpath)
-    _emit_cert(args, growth.splice_perfect(cert, k_real))
-    return EXIT_OK
+def cmd_splice(cert, args) -> Certificate:
+    return growth.splice_perfect(cert, _parse_path(args.kpath))
 
 
-def cmd_even_grow(args) -> int:
-    cert = _cert_from_args(args)
-    _emit_cert(args, growth.even_grow(cert, args.y, args.z))
-    return EXIT_OK
+def cmd_even_grow(cert, args) -> Certificate:
+    return growth.even_grow(cert, args.y, args.z)
 
 
-def cmd_x2x(args) -> int:
-    cert = _cert_from_args(args)
-    _emit_cert(args, growth.x2x_swap(cert, args.x, args.i))
-    return EXIT_OK
+def cmd_x2x(cert, args) -> Certificate:
+    return growth.x2x_swap(cert, args.x, args.i)
 
 
-def cmd_perf_grow(args) -> int:
-    cert = _cert_from_args(args)
+def cmd_perf_grow(cert, args) -> Certificate:
     try:
         with open(args.parts) as fh:
             text = fh.read()
@@ -164,14 +152,17 @@ def cmd_perf_grow(args) -> int:
     data = _load_json(text, "parts")
     if not isinstance(data, list):
         raise PathError("parts JSON must be a list of paths")
-    parts = [_json_path(p) for p in data]
-    _emit_cert(args, growth.perf_grow(cert, args.x, parts))
-    return EXIT_OK
+    return growth.perf_grow(cert, args.x, [_json_path(p) for p in data])
 
 
-def cmd_family(args) -> int:
-    _emit_cert(args, families.construct_1x(args.x, args.b))
-    return EXIT_OK
+def cmd_family(args) -> Certificate:
+    return families.construct_1x(args.x, args.b)
+
+
+_SOLVE_FAILED = {
+    "not_admissible": EXIT_NOT_ADMISSIBLE,
+    "out_of_proven_range": EXIT_OUT_OF_RANGE,
+}
 
 
 def cmd_solve(args) -> int:
@@ -192,16 +183,12 @@ def cmd_solve(args) -> int:
                 print(f"  {name} {params}")
         if out.certificate:
             _emit_cert(args, out.certificate)
-    if out.status == "not_admissible":
-        return EXIT_NOT_ADMISSIBLE
-    if out.status == "out_of_proven_range":
-        return EXIT_OUT_OF_RANGE
-    if out.certificate is None:
-        return EXIT_SEARCH_FAILED
-    return EXIT_OK
+    if out.ok:
+        return EXIT_OK
+    return _SOLVE_FAILED.get(out.status, EXIT_SEARCH_FAILED)
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> Certificate | int:
     ms = LengthMultiset.parse(args.multiset)
     cfg = search.SearchConfig(
         rng_seed=args.seed,
@@ -221,11 +208,10 @@ def cmd_search(args) -> int:
             "no realization found (budget exhausted)",
         )
         return EXIT_SEARCH_FAILED
-    _emit_cert(args, cert)
-    return EXIT_OK
+    return cert
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> Certificate | int:
     ms = LengthMultiset.parse(args.multiset)
     cap = args.cap if args.cap is not None else _default_brute_cap()
     cert = search.brute_force(ms, cap=cap)
@@ -236,8 +222,7 @@ def cmd_oracle(args) -> int:
             "no realization exists (definitive)",
         )
         return EXIT_SEARCH_FAILED
-    _emit_cert(args, cert)
-    return EXIT_OK
+    return cert
 
 
 def cmd_sweep(args) -> int:
@@ -245,14 +230,11 @@ def cmd_sweep(args) -> int:
     cap = _default_brute_cap()
     print(f"seed: {args.seed}", file=sys.stderr)
     report = search.sweep(args.vmax, cfg, args.definitive, cap)
-    if args.json:
-        print(json.dumps({"schema": 1, "report": report}))
-    else:
-        for row in report:
-            print(
-                "v={v}: admissible={admissible_count} realized={realized} "
-                "unrealizable={unrealizable} unknown={unknown}".format(**row)
-            )
+    row = (
+        "v={v}: admissible={admissible_count} realized={realized} "
+        "unrealizable={unrealizable} unknown={unknown}"
+    )
+    _emit(args, {"report": report}, *map(row.format_map, report))
     bad = sum(r["unrealizable"] for r in report)
     return EXIT_OK if not bad else EXIT_SEARCH_FAILED
 
@@ -279,7 +261,6 @@ def cmd_seeds(args) -> int:
             f"{len(reports)} entries, {len(bad)} failures",
         )
         return EXIT_OK if not bad else EXIT_VERIFY_FAILED
-    # dump
     try:
         entries = (
             seeds.iter_seeds() if args.table is None
@@ -297,14 +278,8 @@ def cmd_seeds(args) -> int:
         }
         for e in entries
     ]
-    if args.json:
-        print(json.dumps({"schema": 1, "seeds": rows}))
-    else:
-        for r in rows:
-            print(
-                f"{r['table']}/{r['variant']}: {r['multiset']} "
-                f"{r['path']} points={r['grow_points']}"
-            )
+    row = "{table}/{variant}: {multiset} {path} points={grow_points}"
+    _emit(args, {"seeds": rows}, *map(row.format_map, rows))
     return EXIT_OK
 
 
@@ -335,33 +310,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("admissible", cmd_admissible, help="divisor test")
     p.add_argument("multiset")
 
-    p = add("grow", cmd_grow, help="apply grow steps to a realization")
-    p.add_argument("--path", required=True)
-    p.add_argument("--multiset")
+    def add_growth(name, op, **kwargs):
+        p = add(name, lambda args: op(_cert_from_args(args), args), **kwargs)
+        p.add_argument("--path", required=True)
+        p.add_argument("--multiset")
+        return p
+
+    p = add_growth("grow", cmd_grow, help="apply grow steps to a realization")
     how = p.add_mutually_exclusive_group(required=True)
     how.add_argument("--at", help="x,m for a single grow")
     how.add_argument("--schedule", help='e.g. "2*4 3*3"')
 
-    p = add("splice", cmd_splice, help="splice a perfect realization")
-    p.add_argument("--path", required=True)
-    p.add_argument("--multiset")
+    p = add_growth("splice", cmd_splice, help="splice a perfect realization")
     p.add_argument("--kpath", required=True)
 
-    p = add("even-grow", cmd_even_grow, help="the two-run 2-grow rewrite")
-    p.add_argument("--path", required=True)
-    p.add_argument("--multiset")
+    p = add_growth(
+        "even-grow", cmd_even_grow, help="the two-run 2-grow rewrite"
+    )
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--z", type=int, required=True)
 
-    p = add("x2x", cmd_x2x, help="triple x-grow with i run swaps")
-    p.add_argument("--path", required=True)
-    p.add_argument("--multiset")
+    p = add_growth("x2x", cmd_x2x, help="triple x-grow with i run swaps")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--i", type=int, required=True)
 
-    p = add("perf-grow", cmd_perf_grow, help="grow through perfect parts")
-    p.add_argument("--path", required=True)
-    p.add_argument("--multiset")
+    p = add_growth(
+        "perf-grow", cmd_perf_grow, help="grow through perfect parts"
+    )
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--parts", required=True, help="JSON file of parts")
 
@@ -408,10 +383,14 @@ def main(argv=None) -> int:
         # argparse uses 2 for usage errors; remap (0 for --help)
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.fn(args)
+        result = args.fn(args)
     except (MultisetError, PathError, NotGrowableError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if isinstance(result, Certificate):
+        _emit_cert(args, result)
+        return EXIT_OK
+    return result
 
 
 if __name__ == "__main__":

@@ -210,6 +210,8 @@ def construct_1x(x: int, b: int) -> Certificate:
     """The {1,x}-growable family member with b x's: the hand-patterned
     families for b in {x+1, x+2, 2x}, else the lemma construction for
     x+3 <= b <= 2x-1."""
+    if x < 4:
+        raise ValueError("x must be at least 4")
     if b in (x + 1, x + 2, 2 * x):
         return construct_1x_basic(x, b)
     if x % 2 == 0:
@@ -225,8 +227,7 @@ def seed_for_residue(x: int, residue: int) -> Certificate:
     except for residue 1, where admissibility forces a' = x-1.  Each
     argument pair builds and checks its seed once: a Certificate and
     its trace are read-only, so every answer may share it.
+    construct_1x refuses x < 4.
     """
-    if x < 4:
-        raise ValueError("x must be at least 4")
     residue %= x
     return construct_1x(x, 2 * x if residue == 0 else x + residue)

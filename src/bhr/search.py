@@ -11,6 +11,7 @@ it is exhaustive, so a None return is a definitive nonexistence verdict.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 
 from .core import (
@@ -167,11 +168,17 @@ def brute_force(
     y -> -y (mod v) keep every length.  Returns a Certificate, or None
     -- and None is definitive: ms has no realization.  Does not require
     admissibility, so it also serves as the necessity-direction oracle.
+    Raises ValueError for an order above cap or past the depth the
+    recursion limit lets the search reach.
     """
     cap = DEFAULT_BRUTE_CAP if cap is None else cap
     v = ms.v
     if v > cap:
         raise ValueError(f"v={v} exceeds brute-force cap {cap}")
+    # extend() nests v + 1 deep; its edge_length call and that call's
+    # comparison count two more
+    if v + 3 > _frames_left():
+        raise ValueError(f"v={v} exceeds the recursion limit of brute_force")
     remaining = ms.counts()
     path: list[int] = []
     used = [False] * v
@@ -205,6 +212,15 @@ def brute_force(
             trace=(("brute_force", trace_params(v=v)),),
         )
     return None
+
+
+def _frames_left() -> int:
+    """Python frames the caller may still push under the recursion
+    limit."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return sys.getrecursionlimit() - depth
 
 
 def enumerate_admissible(v: int, lengths=None):

@@ -33,6 +33,7 @@ from .core import (
     NotGrowableError,
     is_admissible,
     is_growable_at,
+    plain_params,
 )
 from .families import seed_for_residue
 from .growth import GrowthSchedule, _Chain, grow, multi_grow
@@ -71,7 +72,9 @@ class SolveOutcome:
             "admissibility": (
                 self.admissibility.describe() if self.admissibility else None
             ),
-            "trace": [[name, params] for name, params in self.trace],
+            "trace": [
+                [name, plain_params(params)] for name, params in self.trace
+            ],
         }
 
 
@@ -170,32 +173,28 @@ def _replay(ms: LengthMultiset, table_ids) -> Step | None:
     """Grow the first subsuming seed from the given tables (in table
     order) up to ms.  Returns None when no entry works."""
     target = ms.counts()
-    candidates = [
-        (entry, sched)
-        for tid in table_ids
-        for entry in seed_tables.table(tid)
-        if (sched := _schedule_for(entry.certificate(), target)) is not None
-    ]
-    # first pass: the fixed ascending schedule with tracked points for
-    # every candidate; only then the costly re-scanning search, for the
-    # entries whose schedule breaks a still-needed point mid-way
-    for rescue in (False, True):
-        for entry, sched in candidates:
+    # first the fixed ascending schedule with tracked points, entry by
+    # entry; only then the costly re-scanning search, for the entries
+    # whose schedule broke a still-needed point mid-way
+    broken = []
+    for tid in table_ids:
+        for entry in seed_tables.table(tid):
+            seed = entry.certificate()
+            sched = _schedule_for(seed, target)
+            if sched is None:
+                continue
+            try:
+                cert = multi_grow(seed, GrowthSchedule(tuple(sched)))
+            except NotGrowableError:
+                broken.append(entry)
+                continue
             step = {"table": entry.table_id, "variant": entry.variant}
-            if not rescue:
-                try:
-                    cert = multi_grow(
-                        entry.certificate(), GrowthSchedule(tuple(sched))
-                    )
-                except NotGrowableError:
-                    continue
-                step["schedule"] = sched
-            else:
-                cert = _grow_to(entry.certificate(), target)
-                if cert is None:
-                    continue
-                step["schedule"] = _grows_taken(cert)
-                step["rescue"] = True
+            return "replay", {**step, "schedule": sched}, cert
+    for entry in broken:
+        cert = _grow_to(entry.certificate(), target)
+        if cert is not None:
+            step = {"table": entry.table_id, "variant": entry.variant}
+            step.update(schedule=_grows_taken(cert), rescue=True)
             return "replay", step, cert
     return None
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bhr import search
+from bhr import search, solvers
 from bhr.cli import (
     EXIT_NOT_ADMISSIBLE,
     EXIT_OK,
@@ -13,6 +13,7 @@ from bhr.cli import (
 )
 
 DEMO9 = "[6, 4, 3, 0, 7, 1, 5, 2, 8]"
+DEMO15 = "[0, 3, 6, 2, 1, 13, 10, 11, 14, 12, 9, 8, 5, 4, 7]"
 
 
 def run(capsys, *argv):
@@ -45,9 +46,10 @@ def test_admissible(capsys):
 def test_usage_errors(capsys):
     assert run(capsys, "no-such-command")[0] == EXIT_USAGE
     assert run(capsys, "admissible", "not a multiset")[0] == EXIT_USAGE
-    assert run(capsys, "grow", "--path", "[0,1]", "--at", "zz")[0] == (
-        EXIT_USAGE
-    )
+    for at in ("zz", "", "1,2,3"):
+        code, out, err = run(capsys, "grow", "--path", "[0,1]", "--at", at)
+        assert (code, out) == (EXIT_USAGE, ""), at
+        assert err == "error: --at expects x,m\n", at
     assert run(capsys)[0] == EXIT_USAGE
 
 
@@ -77,9 +79,8 @@ def test_grow_takes_exactly_one_of_at_and_schedule(capsys):
 
 
 def test_grow_schedule(capsys):
-    demo15 = "[0, 3, 6, 2, 1, 13, 10, 11, 14, 12, 9, 8, 5, 4, 7]"
     code, out, _ = run(
-        capsys, "grow", "--path", demo15, "--schedule", "2*4 3*3", "--json"
+        capsys, "grow", "--path", DEMO15, "--schedule", "2*4 3*3", "--json"
     )
     assert code == EXIT_OK
     assert json.loads(out)["multiset"] == "1^4 2^9 3^17 4"
@@ -146,6 +147,9 @@ def test_family(capsys):
     assert data["multiset"] == "1^6 8^13"
     assert run(capsys, "family", "--x", "8", "--b", "40")[0] == EXIT_USAGE
     assert run(capsys, "family", "--x", "8", "--b", "5")[0] == EXIT_USAGE
+    code, out, err = run(capsys, "family", "--x", "2", "--b", "5")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: x must be at least 4\n"
 
 
 def test_seeds_check(capsys):
@@ -153,7 +157,7 @@ def test_seeds_check(capsys):
     assert code == EXIT_OK
     code, out, _ = run(capsys, "seeds", "dump", "--table", "demo", "--json")
     assert code == EXIT_OK
-    assert len(json.loads(out)) == 2
+    assert len(json.loads(out)["seeds"]) == 2
     code, out, err = run(capsys, "seeds", "dump", "--table", "nope")
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: ")
@@ -208,12 +212,11 @@ def test_x2x_and_splice(capsys):
     )
     assert code == EXIT_OK
     assert json.loads(out)["multiset"] == "1^2 3^9 6^4"
-    demo15 = "[0, 3, 6, 2, 1, 13, 10, 11, 14, 12, 9, 8, 5, 4, 7]"
     code, out, _ = run(
         capsys,
         "splice",
         "--path",
-        demo15,
+        DEMO15,
         "--kpath",
         "[0, 2, 1, 3]",
         "--json",
@@ -283,3 +286,94 @@ def test_perf_grow_rejects_x_below_one(capsys, tmp_path):
     )
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_even_grow(capsys):
+    code, out, _ = run(
+        capsys, "even-grow", "--path", DEMO15, "--y", "4", "--z", "6",
+        "--json",
+    )
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["multiset"] == "1^10 2 3^8 4^6 6^7"
+    assert data["trace"][-1] == ["even_grow", {"y": 4, "z": 6}]
+    code, out, _ = run(
+        capsys, "even-grow", "--path", DEMO15, "--y", "4", "--z", "6"
+    )
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[1] == "multiset: 1^10 2 3^8 4^6 6^7"
+    assert lines[-1] == "  even_grow {'y': 4, 'z': 6}"
+    code, out, err = run(
+        capsys, "even-grow", "--path", DEMO9, "--y", "4", "--z", "4"
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: certificate has no 2-grow point\n"
+
+
+def test_search_failure_exit_codes(capsys):
+    code, out, err = run(capsys, "search", "5^3", "--json")
+    assert code == EXIT_NOT_ADMISSIBLE
+    assert json.loads(out) == {
+        "schema": 1,
+        "ok": False,
+        "detail": "not admissible: length 5 exceeds floor(v/2)",
+    }
+    assert err == "seed: 0\n"
+    argv = ("search", "2^3 3^4 4^4", "--restarts", "1", "--steps", "1")
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_SEARCH_FAILED
+    assert out == "no realization found (budget exhausted)\n"
+    assert err == "seed: 0\n"
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == EXIT_SEARCH_FAILED
+    assert json.loads(out) == {
+        "schema": 1, "ok": False, "detail": "budget exhausted", "seed": 0
+    }
+
+
+def test_solve_exits_4_when_search_fails(capsys, monkeypatch):
+    monkeypatch.setattr(solvers, "local_search", lambda ms, cfg: None)
+    monkeypatch.setenv("BHR_BRUTE_CAP", "5")
+    code, out, _ = run(capsys, "solve", "1^12")
+    assert code == EXIT_SEARCH_FAILED
+    assert out.splitlines() == [
+        "status: search_fallback",
+        "  external-theorem region {'why': 'underlying set of size <= 2'}",
+        "  search {'found': False}",
+    ]
+    code, out, _ = run(capsys, "solve", "1^12", "--json")
+    assert code == EXIT_SEARCH_FAILED
+    data = json.loads(out)
+    assert (data["status"], data["certificate"]) == ("search_fallback", None)
+
+
+def test_oracle_json(capsys):
+    code, out, _ = run(capsys, "oracle", "2^5", "--json")
+    assert code == EXIT_SEARCH_FAILED
+    assert json.loads(out) == {
+        "schema": 1, "ok": False, "detail": "none (definitive)"
+    }
+    code, out, _ = run(capsys, "oracle", "1^2 2 3^3", "--json")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["multiset"] == "1^2 2 3^3"
+    assert data["trace"] == [["brute_force", {"v": 7}]]
+
+
+def test_oracle_refuses_orders_beyond_the_recursion_limit(capsys):
+    code, out, err = run(capsys, "oracle", "1^1200", "--cap", "2000")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_seeds_dump_human(capsys):
+    code, out, _ = run(capsys, "seeds", "dump", "--table", "demo")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "demo/demo-9: 1 2^2 3^4 4 [6, 4, 3, 0, 7, 1, 5, 2, 8] "
+        "points=[[3, 2]]",
+        "demo/demo-15: 1^4 2 3^8 4 "
+        "[0, 3, 6, 2, 1, 13, 10, 11, 14, 12, 9, 8, 5, 4, 7] "
+        "points=[[1, 8], [2, 3], [3, 11], [4, 5]]",
+    ]

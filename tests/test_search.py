@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -141,6 +142,17 @@ def test_brute_force_definitive_none():
 def test_brute_force_cap():
     with pytest.raises(ValueError):
         brute_force(LengthMultiset.parse("1^20"), cap=14)
+
+
+def test_brute_force_refuses_orders_beyond_the_recursion_limit():
+    # the DFS recurses once per vertex, so an order past the recursion
+    # limit is refused up front rather than ending in RecursionError
+    v = sys.getrecursionlimit() + 1
+    ms = LengthMultiset.parse(f"1^{v - 1}")
+    with pytest.raises(ValueError, match="recursion"):
+        brute_force(ms, cap=v)
+    # a deep but reachable order still runs
+    assert brute_force(LengthMultiset.parse("1^300"), cap=301) is not None
 
 
 def test_enumerate_admissible_small():

@@ -267,6 +267,16 @@ def test_outcome_to_dict():
     assert data["certificate"]["multiset"] == "1 2^2 3^3"
 
 
+def test_outcome_to_dict_copies_its_trace():
+    out = solve(LengthMultiset.parse("1 2^2 3^3"))
+    assert out.trace[0][0] == "replay"
+    before = json.dumps(out.to_dict())
+    out.to_dict()["trace"][0][1]["table"] = "tampered"
+    out.to_dict()["trace"][0][1]["schedule"].clear()
+    assert json.dumps(out.to_dict()) == before
+    assert out.trace[0][1]["table"] != "tampered"
+
+
 def test_solve_answers_hold_the_callers_multiset():
     # search answers keep the multiset they are handed; solve must hand
     # its own, not a copy rebuilt from the multiplicities
