@@ -5,9 +5,10 @@ path JSON ("[0,5,1,2,6,3,4]") are shared by every command.  With
 --json, output is a schema-versioned JSON document on stdout; otherwise
 a short human-readable summary.  Exit codes: 0 success, 1 usage error,
 2 not admissible, 3 out of proven range, 4 search failure,
-5 verification failure.  A command returns a Certificate for main to
-print, or prints and returns an exit code; the growth commands take the
-Certificate read from --path and --multiset.
+5 verification failure, 141 stdout closed by its reader.  A command
+returns a Certificate for main to print, or prints and returns an exit
+code; the growth commands take the Certificate read from --path and
+--multiset.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_NOT_ADMISSIBLE = 2
 EXIT_OUT_OF_RANGE = 3
 EXIT_SEARCH_FAILED = 4
 EXIT_VERIFY_FAILED = 5
+EXIT_PIPE_CLOSED = 141  # as a shell reports a process that SIGPIPE ended
 
 
 def _default_brute_cap() -> int:
@@ -180,7 +182,7 @@ def cmd_solve(args) -> int:
         print(f"status: {out.status}")
         if args.trace or out.certificate is None:
             for name, params in out.trace:
-                print(f"  {name} {params}")
+                print(f"  {name} {plain_params(params)}")
         if out.certificate:
             _emit_cert(args, out.certificate)
     if out.ok:
@@ -232,7 +234,8 @@ def cmd_sweep(args) -> int:
     report = search.sweep(args.vmax, cfg, args.definitive, cap)
     row = (
         "v={v}: admissible={admissible_count} realized={realized} "
-        "unrealizable={unrealizable} unknown={unknown}"
+        "unrealizable={unrealizable} unknown={unknown} "
+        "seconds={seconds:.3f}"
     )
     _emit(args, {"report": report}, *map(row.format_map, report))
     bad = sum(r["unrealizable"] for r in report)
@@ -384,12 +387,18 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         result = args.fn(args)
+        if isinstance(result, Certificate):
+            _emit_cert(args, result)
+            result = EXIT_OK
+        sys.stdout.flush()
     except (MultisetError, PathError, NotGrowableError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if isinstance(result, Certificate):
-        _emit_cert(args, result)
-        return EXIT_OK
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the
+        # flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE_CLOSED
     return result
 
 

@@ -245,23 +245,58 @@ def divisors(n: int) -> list[int]:
     return sorted(result)
 
 
+def divisor_table(v: int, lengths) -> list[tuple[int, int, list[int]]]:
+    """The divisor condition at order v over lengths, each at most v/2.
+
+    One row (d, v - d, positions) per divisor d > 1 of v that divides
+    some length, in increasing order of d; positions index the lengths
+    that d divides.  A divisor that divides none bounds nothing, since
+    v - d >= 0.  A vector of counts aligned with lengths meets the
+    condition when no row is obstructed (see divisor_obstruction)."""
+    table = []
+    top = max(lengths)
+    for d in divisors(v)[1:]:
+        if d > top:
+            break
+        pos = [i for i, l in enumerate(lengths) if l % d == 0]
+        if pos:
+            table.append((d, v - d, pos))
+    return table
+
+
+def divisor_obstruction(table, counts) -> tuple[int, int, int] | None:
+    """The divisor condition: for each d | v, multiples of d number at
+    most v - d.  Returns the first row of the table whose multiples
+    exceed their bound, as (d, count, v - d), or None."""
+    for d, bound, pos in table:
+        count = 0
+        for i in pos:
+            count += counts[i]
+        if count > bound:
+            return d, count, bound
+    return None
+
+
 def is_admissible(ms: LengthMultiset) -> Admissibility:
-    """Divisor condition: for each d | v, multiples of d number at most v-d."""
+    """Lengths at most v/2, then the divisor condition; the verdict
+    names the first oversized length or else the smallest obstructing
+    divisor."""
     if not ms.items:
         raise MultisetError("admissibility of the empty multiset is undefined")
     v = ms.v
-    for length, _ in ms.items:
-        if length > v // 2:
-            return Admissibility(False, "oversized", length=length)
-    for d in divisors(v):
-        if d == 1:
-            continue
-        count = sum(c for l, c in ms.items if l % d == 0)
-        if count > v - d:
-            return Admissibility(
-                False, "divisor", divisor=d, count=count, bound=v - d
-            )
-    return Admissibility(True)
+    lengths, counts = zip(*ms.items)
+    if lengths[-1] > v // 2:
+        # items are sorted: the last length decides, and the first
+        # oversized one is the smallest
+        length = next(l for l in lengths if l > v // 2)
+        return Admissibility(False, "oversized", length=length)
+    hit = divisor_obstruction(divisor_table(v, lengths), counts)
+    if hit is None:
+        return Admissibility(True)
+    d, count, bound = hit
+    return Admissibility(
+        False, "divisor", divisor=d, count=count, bound=bound
+    )
 
 
 def check_realization(path: HamPath, ms: LengthMultiset) -> tuple[bool, str]:

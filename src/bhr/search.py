@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 from dataclasses import dataclass
+from itertools import combinations, compress
 
 from .core import (
     Certificate,
@@ -20,6 +22,8 @@ from .core import (
     LengthMultiset,
     MultisetError,
     cyclic_lengths,
+    divisor_obstruction,
+    divisor_table,
     edge_length,
     is_admissible,
     trace_params,
@@ -225,36 +229,33 @@ def _frames_left() -> int:
 
 def enumerate_admissible(v: int, lengths=None):
     """All admissible multisets of size v-1 over the given lengths
-    (default 1..v//2), in lexicographic order of their count vectors.
+    (default 1..v//2), in lexicographic order of their count vectors:
+    the count of the smallest length first, each count ascending.
 
     The optional restriction keeps enumeration tractable when only a
-    particular underlying-set family is of interest."""
+    particular underlying-set family is of interest.  The divisor rule
+    lives in core: one divisor_table per call, tested on each count
+    vector with divisor_obstruction, as is_admissible does; a multiset
+    is built only for a vector that passes."""
     if v < 2:
         raise ValueError("v must be at least 2")
     allowed = (
         list(range(1, v // 2 + 1))
         if lengths is None
-        else sorted(l for l in lengths if 1 <= l <= v // 2)
+        else sorted({l for l in lengths if 1 <= l <= v // 2})
     )
-    n = len(allowed)
-
-    def vectors(pos: int, left: int, prefix: list[int]):
-        if pos == n - 1:
-            yield prefix + [left]
-            return
-        for c in range(left + 1):
-            yield from vectors(pos + 1, left - c, prefix + [c])
-
     if not allowed:
         return
-    for vec in vectors(0, v - 1, []):
-        ms = LengthMultiset.from_counts(
-            {l: c for l, c in zip(allowed, vec) if c}
-        )
-        if not ms.items:
-            continue
-        if is_admissible(ms).ok:
-            yield ms
+    table = divisor_table(v, allowed)
+    # stars and bars: the n - 1 bars among v + n - 2 slots split v - 1
+    # into n counts, and combinations() walks the bars in the counts'
+    # lexicographic order
+    n = len(allowed)
+    slots = v + n - 2
+    for bars in combinations(range(slots), n - 1):
+        vec = [b - a - 1 for a, b in zip((-1, *bars), (*bars, slots))]
+        if divisor_obstruction(table, vec) is None:
+            yield LengthMultiset(tuple(compress(zip(allowed, vec), vec)))
 
 
 def sweep(
@@ -269,7 +270,8 @@ def sweep(
     under the cap.  With definitive=True, every unresolved multiset must
     go through brute_force, so v_max may not exceed the definitive cap
     and the unknown count is always zero.  Returns one report dict per
-    order: {v, admissible_count, realized, unrealizable, unknown}.
+    order: {v, admissible_count, realized, unrealizable, unknown,
+    seconds}, seconds being the order's wall time.
     """
     cfg = cfg or SearchConfig()
     cap = DEFAULT_BRUTE_CAP if brute_cap is None else brute_cap
@@ -279,6 +281,7 @@ def sweep(
         )
     reports = []
     for v in range(2, v_max + 1):
+        start = time.perf_counter()
         admissible = realized = unrealizable = unknown = 0
         for ms in enumerate_admissible(v):
             admissible += 1
@@ -299,6 +302,7 @@ def sweep(
                 "realized": realized,
                 "unrealizable": unrealizable,
                 "unknown": unknown,
+                "seconds": time.perf_counter() - start,
             }
         )
     return reports

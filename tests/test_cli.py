@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bhr
 from bhr import search, solvers
 from bhr.cli import (
     EXIT_NOT_ADMISSIBLE,
     EXIT_OK,
     EXIT_OUT_OF_RANGE,
+    EXIT_PIPE_CLOSED,
     EXIT_SEARCH_FAILED,
     EXIT_USAGE,
     main,
@@ -123,6 +129,38 @@ def test_solve_exit_codes(capsys):
     assert run(capsys, "solve", "1^2 3^9 6", "--fallback")[0] == EXIT_OK
 
 
+def test_solve_trace_prints_plain_params(capsys):
+    code, out, _ = run(capsys, "solve", "1^5 2^6 3^9", "--trace")
+    assert code == EXIT_OK
+    assert out.splitlines()[:2] == [
+        "status: solved",
+        "  replay {'table': 'u123-main', 'variant': 'main', "
+        "'schedule': [[1, 4], [2, 2], [3, 2]]}",
+    ]
+    code, out, _ = run(capsys, "solve", "1^5 2^6 3^9", "--json")
+    [name, params] = json.loads(out)["trace"][0]
+    assert (name, params["schedule"]) == ("replay", [[1, 4], [2, 2], [3, 2]])
+
+
+def test_closed_stdout_exits_without_traceback():
+    # the answer is several pipe buffers long, so once the reader has
+    # left after the first line, a later write finds the pipe closed
+    src = str(Path(bhr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bhr", "solve", "1^2 3^10000 6^10000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.readline() == b"status: solved\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_PIPE_CLOSED
+    assert err == b"", err
+
+
 def test_search_prints_seed_to_stderr(capsys):
     code, out, err = run(capsys, "search", "1^2 2 3^3", "--seed", "3")
     assert code == EXIT_OK
@@ -176,6 +214,16 @@ def test_sweep(capsys):
     assert code == EXIT_OK
     rows = json.loads(out)["report"]
     assert [r["v"] for r in rows] == [2, 3, 4, 5, 6]
+    assert all(r["seconds"] >= 0 for r in rows)
+    code, out, _ = run(capsys, "sweep", "--vmax", "4", "--definitive")
+    assert code == EXIT_OK
+    for line, v, count in zip(out.splitlines(), (2, 3, 4), (1, 1, 3)):
+        head = (
+            f"v={v}: admissible={count} realized={count} "
+            "unrealizable=0 unknown=0 seconds="
+        )
+        assert line.startswith(head), line
+        float(line[len(head):])
 
 
 def test_sweep_honours_brute_cap_env(capsys, monkeypatch):

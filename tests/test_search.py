@@ -3,7 +3,14 @@ import sys
 
 import pytest
 
-from bhr.core import LengthMultiset, MultisetError, verify_realization
+from bhr.core import (
+    Admissibility,
+    LengthMultiset,
+    MultisetError,
+    divisors,
+    is_admissible,
+    verify_realization,
+)
 from bhr.search import (
     SearchConfig,
     brute_force,
@@ -173,6 +180,88 @@ def test_enumerate_admissible_restricted():
         ms.underlying_set <= {1, 2}
         for ms in enumerate_admissible(8, lengths=(1, 2))
     )
+    # a repeated length is one length, not a second count of it
+    assert list(enumerate_admissible(8, lengths=(2, 1, 2))) == list(
+        enumerate_admissible(8, lengths=(1, 2))
+    )
+
+
+def _reference_is_admissible(ms):
+    """The divisor test spelled out: the first length over v/2, else
+    the smallest divisor d > 1 of v whose multiples exceed v - d."""
+    v = ms.v
+    for length, _ in ms.items:
+        if length > v // 2:
+            return Admissibility(False, "oversized", length=length)
+    for d in divisors(v)[1:]:
+        count = sum(c for l, c in ms.items if l % d == 0)
+        if count > v - d:
+            return Admissibility(
+                False, "divisor", divisor=d, count=count, bound=v - d
+            )
+    return Admissibility(True)
+
+
+def _count_vectors(total, parts):
+    """Every vector of parts counts summing to total, recursively, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for c in range(total + 1):
+        for rest in _count_vectors(total - c, parts - 1):
+            yield (c, *rest)
+
+
+def _reference_enumerate(v, lengths=None):
+    """Every count vector in lexicographic order, each turned into a
+    multiset and kept when the reference test admits it."""
+    allowed = (
+        list(range(1, v // 2 + 1))
+        if lengths is None
+        else sorted(l for l in lengths if 1 <= l <= v // 2)
+    )
+    if not allowed:
+        return
+    for vec in _count_vectors(v - 1, len(allowed)):
+        ms = LengthMultiset.from_counts(dict(zip(allowed, vec)))
+        if _reference_is_admissible(ms).ok:
+            yield ms
+
+
+def test_is_admissible_matches_reference():
+    # every multiset of order v <= 12 with lengths up to v//2 + 2: two
+    # oversized lengths show which one the verdict names, and a longer
+    # one takes the same path
+    checked = {"ok": 0, "oversized": 0, "divisor": 0}
+    for v in range(2, 13):
+        lengths = range(1, v // 2 + 3)
+        for vec in _count_vectors(v - 1, len(lengths)):
+            ms = LengthMultiset.from_counts(dict(zip(lengths, vec)))
+            want = _reference_is_admissible(ms)
+            assert is_admissible(ms) == want, ms.format()
+            checked[want.reason] += 1
+    assert min(checked.values()) > 100, checked
+
+
+def test_enumerate_admissible_matches_reference():
+    cases = [(v, None) for v in range(2, 17)] + [
+        (v, lengths)
+        for lengths in [
+            (1, 2, 3),
+            (1, 4, 5),
+            (1, 2, 3, 4),
+            (1, 3, 6),
+            (2, 4, 6),
+            (4, 8, 12),
+            (5,),
+        ]
+        for v in range(2, 31)
+    ]
+    for v, lengths in cases:
+        got = [ms.items for ms in enumerate_admissible(v, lengths)]
+        want = [ms.items for ms in _reference_enumerate(v, lengths)]
+        assert got == want, (v, lengths)
 
 
 def test_sweep_definitive_small():
