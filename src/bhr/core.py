@@ -56,13 +56,17 @@ class LengthMultiset:
     items: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        prev = 0
         for length, count in self.items:
             if length < 1:
                 raise MultisetError(f"length {length} < 1")
             if count < 1:
                 raise MultisetError(f"count {count} < 1 for length {length}")
-        if [l for l, _ in self.items] != sorted({l for l, _ in self.items}):
-            raise MultisetError("items must be sorted with distinct lengths")
+            if length <= prev:
+                raise MultisetError(
+                    "items must be sorted with distinct lengths"
+                )
+            prev = length
 
     @classmethod
     def from_counts(cls, counts: dict[int, int]) -> "LengthMultiset":

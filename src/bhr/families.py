@@ -212,6 +212,8 @@ def construct_1x(x: int, b: int) -> Certificate:
     x+3 <= b <= 2x-1."""
     if x < 4:
         raise ValueError("x must be at least 4")
+    if not x + 1 <= b <= 2 * x:
+        raise ValueError(f"b={b} outside range {x + 1}..{2 * x}")
     if b in (x + 1, x + 2, 2 * x):
         return construct_1x_basic(x, b)
     if x % 2 == 0:

@@ -855,7 +855,8 @@ DEMO = _entries(
 # some admissible targets in their congruence class.  Each entry below
 # is a brute-forced, fully verified realization of the smallest such
 # target, declared with the grow points it actually has, and is
-# consulted only after the hand-built tables.
+# consulted only after the hand-built tables.  STABLE, after it, covers
+# the targets whose fixed schedule breaks on a hand-built row.
 SUPPLEMENT = _entries(
     "supplement",
     (1, 2, 3, 4, 5),
@@ -899,6 +900,45 @@ SUPPLEMENT = _entries(
     ],
 )
 
+# Stable seeds, consulted last.  A fixed schedule from a hand-built row
+# can still break a point it needs (same wrap-threshold cause), and
+# four families dead-end that way: {1^a, 2^b, 3} with a >= 2 from the
+# u123-main block-1 row, {1, 2^b, 3^c, 4^3} and {1, 2^3, 3^c, 4} from
+# u1234-bodd block 1, and {1, 2^2, 3^c, 4^2} from u134 block 2.  Each
+# row below realizes the base of one family (the least multiset whose
+# grows reach every member), found by local_search and growth_points
+# (tools/stable_seeds.py).  Unlike a SUPPLEMENT row, which declares a
+# point for each of its lengths, a STABLE row declares only the points
+# of the x values its family varies, on purpose: every schedule over
+# the declared points must grow without a break, and each extra point
+# would add schedules to keep stable.  A one-point row's schedule is one
+# k-fold grow at that point, whose growability window_endpoints checks
+# on the seed itself, so no earlier grow moves it.  The two-point rows
+# survive every schedule ((x1, i), (x2, j)) with i, j < 12, which
+# tests/test_seeds.py checks; tests/test_solvers.py replays members of
+# each family up to v = 1002.
+STABLE = _entries(
+    "stable",
+    (1, 2, 3, 4, 5),
+    lambda counts: tuple(counts),
+    [
+        [
+            (None, (1, 4, 0, 2, 3, 5),
+             (1, 3, 1, 0, 0),
+             (0, 4, None, None, None), "st1"),
+            (None, (9, 3, 4, 1, 7, 5, 8, 0, 2, 6),
+             (1, 3, 2, 3, 0),
+             (None, 8, 3, None, None), "st2"),
+            (None, (6, 4, 7, 1, 3, 0, 8, 9, 2, 5),
+             (1, 3, 4, 1, 0),
+             (None, None, 2, None, None), "st3"),
+            (None, (0, 6, 4, 7, 1, 8, 5, 3, 2, 9),
+             (1, 2, 4, 2, 0),
+             (None, None, 6, None, None), "st4"),
+        ],
+    ],
+)
+
 SEED_TABLES: dict[str, tuple[SeedEntry, ...]] = {
     "u123-main": U123_MAIN,
     "u123-1g": U123_1G,
@@ -915,6 +955,7 @@ SEED_TABLES: dict[str, tuple[SeedEntry, ...]] = {
     "u136": U136,
     "inproof": INPROOF,
     "supplement": SUPPLEMENT,
+    "stable": STABLE,
     "demo": DEMO,
 }
 

@@ -13,11 +13,14 @@ solve() dispatches on the underlying set U.  Sets of size <= 2 belong
 to the external-theorem region.  For {1,2,3}, {1,4,5} and the subsets
 of {1,2,3,4}, the table _DRIVERS says what to do: replay seed tables in
 order, name the external region, or choose between those by the number
-of 1s.  The replay engine `_replay` grows the first seed that subsumes
-the target -- every length's deficit is a nonnegative multiple of the
-length and the seed declares a grow point for it.  {1,3,6} and
-{1,x,2x} (x >= 4) run the longer swap pipelines of solve_136 and
-solve_1x2x.
+of 1s.  The replay engine `_replay` is one pass over those tables: it
+answers with the first seed that subsumes the target -- every length's
+deficit is a nonnegative multiple of the length and the seed declares a
+grow point for it -- and whose fixed ascending schedule grows without
+breaking a point it still needs.  When none does, the answer is
+out_of_proven_range, and its trace names a seed whose schedule broke,
+if one did.  {1,3,6} and {1,x,2x} (x >= 4) run the longer swap
+pipelines of solve_136 and solve_1x2x.
 """
 
 from __future__ import annotations
@@ -27,16 +30,14 @@ from dataclasses import dataclass, field
 from .core import (
     Admissibility,
     Certificate,
-    GrowPoint,
     LengthMultiset,
     MultisetError,
     NotGrowableError,
     is_admissible,
-    is_growable_at,
     plain_params,
 )
 from .families import seed_for_residue
-from .growth import GrowthSchedule, _Chain, grow, multi_grow
+from .growth import GrowthSchedule, _Chain, multi_grow
 from .search import SearchConfig, brute_force, local_search
 from . import seeds as seed_tables
 
@@ -126,57 +127,14 @@ def _schedule_for(seed: Certificate, target: dict[int, int]):
     return sched
 
 
-def _grow_to(cert: Certificate, target: dict[int, int], budget: int = 400):
-    """Grow cert until its counts match target, re-scanning the grow
-    points of each intermediate path.
-
-    Growing at a point occasionally destroys another point that a naive
-    relocation would predict survives (an edge sitting at the wrap
-    threshold starts lengthening once v grows), so a fixed schedule can
-    dead-end.  This explores grow choices depth-first -- tracked points
-    first, then any scanned point -- within a node budget."""
-    nodes = 0
-
-    def rec(cert: Certificate):
-        nonlocal nodes
-        cur = cert.multiset.counts()
-        if cur == target:
-            return cert
-        nodes += 1
-        if nodes > budget:
-            return None
-        needed = [
-            x
-            for x in sorted(target)
-            if cur.get(x, 0) + x <= target[x]
-        ]
-        tracked = {gp.x: gp.m for gp in cert.grow_points}
-        points = [
-            GrowPoint(x, m)
-            for x in needed
-            for m in range(cert.path.v)
-            if is_growable_at(cert.path, x, m)
-        ]
-        points.sort(
-            key=lambda gp: (gp.x, tracked.get(gp.x) != gp.m, gp.m)
-        )
-        for gp in points:
-            result = rec(grow(cert, gp.x, gp.m))
-            if result is not None:
-                return result
-        return None
-
-    return rec(cert)
-
-
-def _replay(ms: LengthMultiset, table_ids) -> Step | None:
-    """Grow the first subsuming seed from the given tables (in table
-    order) up to ms.  Returns None when no entry works."""
+def _replay(ms: LengthMultiset, table_ids) -> Step:
+    """One pass over the given tables, in table order: grow the first
+    seed that subsumes ms by its fixed ascending schedule, skipping a
+    seed whose schedule breaks a point it still needs.  When no entry
+    works the step is out of range, and names the first subsuming seed
+    whose schedule broke, if one did."""
     target = ms.counts()
-    # first the fixed ascending schedule with tracked points, entry by
-    # entry; only then the costly re-scanning search, for the entries
-    # whose schedule broke a still-needed point mid-way
-    broken = []
+    broke = None
     for tid in table_ids:
         for entry in seed_tables.table(tid):
             seed = entry.certificate()
@@ -186,31 +144,12 @@ def _replay(ms: LengthMultiset, table_ids) -> Step | None:
             try:
                 cert = multi_grow(seed, GrowthSchedule(tuple(sched)))
             except NotGrowableError:
-                broken.append(entry)
+                broke = broke or f"{entry.table_id} {entry.variant}"
                 continue
             step = {"table": entry.table_id, "variant": entry.variant}
             return "replay", {**step, "schedule": sched}, cert
-    for entry in broken:
-        cert = _grow_to(entry.certificate(), target)
-        if cert is not None:
-            step = {"table": entry.table_id, "variant": entry.variant}
-            step.update(schedule=_grows_taken(cert), rescue=True)
-            return "replay", step, cert
-    return None
-
-
-def _grows_taken(cert: Certificate) -> list[tuple[int, int]]:
-    """The grows in cert's trace as a run-length schedule of (x, count)."""
-    sched = []
-    for name, params in cert.trace:
-        if name != "grow":
-            continue
-        x = params["x"]
-        if sched and sched[-1][0] == x:
-            sched[-1] = (x, sched[-1][1] + 1)
-        else:
-            sched.append((x, 1))
-    return sched
+    why = f"fixed schedule broke on {broke}" if broke else "no subsuming seed"
+    return _OUT_OF_RANGE, {"why": why}, None
 
 
 def _mults(ms: LengthMultiset, *lengths: int) -> tuple[int, ...]:
@@ -224,9 +163,9 @@ def _mults(ms: LengthMultiset, *lengths: int) -> tuple[int, ...]:
 # than constructed; or to a choice by the number of 1s, where a count
 # not listed is the a >= 3 / a = 2, b >= 1 region of {1,2,3,4}.
 _REGION_A = "a >= 3 or (a = 2, b >= 1) region"
-_U1234_A1 = ("u134", "u1234-beven", "u1234-bodd", "supplement")
+_U1234_A1 = ("u134", "u1234-beven", "u1234-bodd", "supplement", "stable")
 _DRIVERS = {
-    frozenset({1, 2, 3}): ("u123-main", "u123-1g", "supplement"),
+    frozenset({1, 2, 3}): ("u123-main", "u123-1g", "supplement", "stable"),
     frozenset({1, 4, 5}): (
         "u145-a2", "u145-a3", "u145-a1", "u145-4g", "inproof", "supplement"
     ),
@@ -248,9 +187,7 @@ def _drive(ms, rule) -> Step:
         rule = rule.get(ms.multiplicity(1), _REGION_A)
     if isinstance(rule, str):
         return _EXTERNAL, {"why": rule}, None
-    return _replay(ms, rule) or (
-        _OUT_OF_RANGE, {"why": "no subsuming seed"}, None
-    )
+    return _replay(ms, rule)
 
 
 def solve_u123(a: int, b: int, c: int) -> SolveOutcome:

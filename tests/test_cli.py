@@ -183,7 +183,9 @@ def test_family(capsys):
     assert code == EXIT_OK
     data = json.loads(out)
     assert data["multiset"] == "1^6 8^13"
-    assert run(capsys, "family", "--x", "8", "--b", "40")[0] == EXIT_USAGE
+    code, out, err = run(capsys, "family", "--x", "8", "--b", "40")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: b=40 outside range 9..16\n"
     assert run(capsys, "family", "--x", "8", "--b", "5")[0] == EXIT_USAGE
     code, out, err = run(capsys, "family", "--x", "2", "--b", "5")
     assert (code, out) == (EXIT_USAGE, "")

@@ -47,6 +47,17 @@ def test_multiset_parse_rejects_garbage():
             LengthMultiset.parse(bad)
 
 
+def test_multiset_items_are_checked_when_built_directly():
+    for items in [((2, 1), (1, 1)), ((1, 1), (1, 2))]:
+        with pytest.raises(MultisetError, match="sorted with distinct"):
+            LengthMultiset(items)
+    with pytest.raises(MultisetError, match=r"^length 0 < 1$"):
+        LengthMultiset(((0, 1), (2, 1)))
+    with pytest.raises(MultisetError, match=r"^count 0 < 1 for length 3$"):
+        LengthMultiset(((1, 1), (3, 0)))
+    assert LengthMultiset(((1, 2), (4, 1))).size == 3
+
+
 def test_multiset_basics():
     ms = LengthMultiset.from_counts({1: 2, 3: 3, 2: 1})
     assert ms.size == 6

@@ -1,9 +1,11 @@
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
 from bhr import seeds
 from bhr.core import GrowPoint, LengthMultiset
+from bhr.growth import GrowthSchedule, multi_grow
 
 
 def test_verify_all_seeds_clean():
@@ -83,3 +85,23 @@ def test_supplement_entries_growable_over_support():
     for entry in seeds.table("supplement"):
         declared = {gp.x for gp in entry.declared_grow_points}
         assert entry.multiset.underlying_set <= declared, entry.variant
+
+
+def test_stable_entries_survive_every_schedule():
+    """Every schedule over a stable row's points, in ascending x with
+    each count below 12, grows without breaking a point it needs: the
+    property replay relies on to answer in one fixed-schedule pass.
+    Counts up to 300 (v up to about 1,500, replay-large's scale) are
+    sampled too."""
+    entries = seeds.table("stable")
+    assert [e.variant for e in entries] == ["st1", "st2", "st3", "st4"]
+    large = (0, 1, 2, 99, 300)
+    for entry in entries:
+        cert = entry.certificate()
+        xs = sorted({gp.x for gp in entry.declared_grow_points})
+        schedules = set(product(range(12), repeat=len(xs)))
+        schedules |= set(product(large, repeat=len(xs)))
+        for counts in sorted(schedules):
+            steps = tuple(zip(xs, counts))
+            grown = multi_grow(cert, GrowthSchedule(steps))
+            assert grown.path.v == cert.path.v + sum(x * k for x, k in steps)

@@ -3,7 +3,12 @@ import json
 import pytest
 
 from bhr import growth, solvers
-from bhr.core import Certificate, LengthMultiset, verify_realization
+from bhr.core import (
+    Certificate,
+    LengthMultiset,
+    is_admissible,
+    verify_realization,
+)
 from bhr.search import SearchConfig
 from bhr.solvers import (
     hr_bound,
@@ -318,18 +323,73 @@ def test_large_swap_pipelines_fold_the_full_swaps(monkeypatch):
         assert certs == [out.certificate], text
 
 
-def test_rescued_replay_reports_the_grows_taken():
-    # the fixed schedule (1, 1), (2, 1) dead-ends; the rescue grew a 2
-    # first, then a 1, and the trace must say so
-    out = solve_u123(2, 5, 1)
-    _check_solved(out, {1: 2, 2: 5, 3: 1})
-    name, step = out.trace[0]
-    assert name == "replay" and step["rescue"] is True
-    grows = [p["x"] for n, p in out.certificate.trace if n == "grow"]
-    assert grows == [2, 1]
-    assert step["schedule"] == [(2, 1), (1, 1)]
-    plain = solve_u123(5, 6, 9).trace[0][1]
-    assert "rescue" not in plain and plain["schedule"]
+def _dead_end_families(max_v):
+    """The four families whose fixed schedule used to break on a
+    hand-built seed, every admissible member with v <= max_v:
+    {1^a, 2^b, 3} with a >= 2, {1, 2^b, 3^c, 4^3}, {1, 2^3, 3^c, 4} and
+    {1, 2^2, 3^c, 4^2}."""
+    for n in range(1, max_v):  # n = v - 1 edges
+        shapes = [{1: a, 2: n - a - 1, 3: 1} for a in range(2, n - 1)]
+        shapes += [{1: 1, 2: b, 3: n - b - 4, 4: 3} for b in range(1, n - 4)]
+        if n > 5:
+            shapes += [{1: 1, 2: 3, 3: n - 5, 4: 1}]
+            shapes += [{1: 1, 2: 2, 3: n - 5, 4: 2}]
+        for counts in shapes:
+            ms = LengthMultiset.from_counts(counts)
+            if is_admissible(ms).ok:
+                yield ms
+
+
+def _large_dead_end_members():
+    """Members of the four families at v = 500..502 and 1000..1002,
+    every residue mod 2 and 3, with the varied counts at both ends and
+    in the middle."""
+    for v in (500, 501, 502, 1000, 1001, 1002):
+        n = v - 1
+        for a in (2, 3, n // 2, n - 3):
+            yield {1: a, 2: n - a - 1, 3: 1}
+        for b in (1, 2, 3, n // 2, n - 6, n - 5):
+            yield {1: 1, 2: b, 3: n - b - 4, 4: 3}
+        yield {1: 1, 2: 3, 3: n - 5, 4: 1}
+        yield {1: 1, 2: 2, 3: n - 5, 4: 2}
+
+
+def test_dead_end_families_replay_on_fixed_schedules():
+    # each member replays on the one fixed ascending schedule its trace
+    # names: the certificate's grows, run-length encoded, are exactly
+    # that schedule
+    targets = list(_dead_end_families(100))
+    assert len(targets) == 9305
+    large = [LengthMultiset.from_counts(c) for c in _large_dead_end_members()]
+    assert all(is_admissible(ms).ok for ms in large)
+    for ms in targets + large:
+        out = solve(ms)
+        assert out.status == "solved", (ms, out.trace)
+        [(name, step)] = out.trace
+        assert name == "replay" and "rescue" not in step, (ms, step)
+        grows = []
+        for entry, params in out.certificate.trace:
+            if entry != "grow":
+                continue
+            if grows and grows[-1][0] == params["x"]:
+                grows[-1] = (params["x"], grows[-1][1] + 1)
+            else:
+                grows.append((params["x"], 1))
+        assert grows == step["schedule"], (ms, step)
+        assert out.certificate.multiset == ms
+
+
+def test_replay_miss_names_a_broken_schedule():
+    # the u123-main block-1 row subsumes 1^2 2^5 3, but its 1-grow
+    # breaks the 2-point; without the stable row no entry is left
+    ms = LengthMultiset.parse("1^2 2^5 3")
+    assert solvers._drive(ms, ("u123-main",)) == (
+        "out_of_proven_range",
+        {"why": "fixed schedule broke on u123-main block1"},
+        None,
+    )
+    assert solvers._drive(ms, ("u145-a2",))[1] == {"why": "no subsuming seed"}
+    assert solve(ms).trace[0][1]["table"] == "stable"
 
 
 def test_replay_trace_params_are_read_only():
