@@ -243,34 +243,33 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_seeds(args) -> int:
-    if args.action == "check":
-        reports = seeds.verify_all_seeds()
-        bad = [r for r in reports if not r.ok]
-        _emit(
-            args,
-            {
-                "ok": not bad,
-                "entries": len(reports),
-                "failures": [
-                    {
-                        "table": r.entry.table_id,
-                        "variant": r.entry.variant,
-                        "multiset": r.entry.multiset.format(),
-                        "problems": list(r.problems),
-                    }
-                    for r in bad
-                ],
-            },
-            f"{len(reports)} entries, {len(bad)} failures",
-        )
-        return EXIT_OK if not bad else EXIT_VERIFY_FAILED
     try:
         entries = (
-            seeds.iter_seeds() if args.table is None
+            tuple(seeds.iter_seeds()) if args.table is None
             else seeds.table(args.table)
         )
     except KeyError as exc:
         raise ValueError(exc.args[0]) from None
+    if args.action == "check":
+        bad = seeds.failures(entries)
+        _emit(
+            args,
+            {
+                "ok": not bad,
+                "entries": len(entries),
+                "failures": [
+                    {
+                        "table": e.table_id,
+                        "variant": e.variant,
+                        "multiset": e.multiset.format(),
+                        "problems": [problem],
+                    }
+                    for e, problem in bad
+                ],
+            },
+            f"{len(entries)} entries, {len(bad)} failures",
+        )
+        return EXIT_OK if not bad else EXIT_VERIFY_FAILED
     rows = [
         {
             "table": e.table_id,

@@ -137,7 +137,7 @@ def _replay(ms: LengthMultiset, table_ids) -> Step:
     broke = None
     for tid in table_ids:
         for entry in seed_tables.table(tid):
-            seed = entry.certificate()
+            seed = entry.certificate
             sched = _schedule_for(seed, target)
             if sched is None:
                 continue
@@ -273,7 +273,7 @@ def _u136(ms) -> Step:
     if a < 1 or b < bound:
         return _OUT_OF_RANGE, {"why": f"need a >= 1 and b >= {bound}"}, None
     seeds = (
-        (("seed", entry.variant), entry.certificate())
+        (("seed", entry.variant), entry.certificate)
         for entry in seed_tables.table("u136")
     )
     return _swap_pipeline(ms, 3, seeds) or (

@@ -22,6 +22,7 @@ from bhr.families import (
 from bhr.growth import grow, splice_perfect, x2x_swap
 from bhr.search import SearchConfig, brute_force, enumerate_admissible, sweep
 from bhr.solvers import hr_bound, solve, solve_1x2x
+from conftest import seed_row
 
 
 def _report(criterion: int, ok: bool, detail: str = ""):
@@ -39,11 +40,11 @@ def _cert(entry):
 
 def test_criterion_1_seed_integrity():
     start = time.monotonic()
-    reports = seeds.verify_all_seeds()
+    entries = tuple(seeds.iter_seeds())
+    bad = [entry.variant for entry, _ in seeds.failures(entries)]
     elapsed = time.monotonic() - start
-    bad = [r.entry.variant for r in reports if not r.ok]
-    ok = not bad and len(reports) >= 160 and elapsed < 1.0
-    _report(1, ok, f"{len(reports)} entries, {len(bad)} bad, {elapsed:.2f}s")
+    ok = not bad and len(entries) >= 160 and elapsed < 1.0
+    _report(1, ok, f"{len(entries)} entries, {len(bad)} bad, {elapsed:.2f}s")
 
 
 def test_criterion_2_worked_example_regressions():
@@ -53,7 +54,7 @@ def test_criterion_2_worked_example_regressions():
     if not is_growable_at(demo9, 3, 2):
         problems.append("9-vertex example not 3-growable at 2")
 
-    grown = grow(_cert(seeds.lookup_seed({1, 2, 3, 4}, variant="demo-9")), 3, 2)
+    grown = grow(_cert(seed_row("demo", "demo-9")), 3, 2)
     if grown.path.vertices != (9, 7, 6, 3, 0, 10, 1, 4, 8, 5, 2, 11):
         problems.append("grown 12-vertex sequence mismatch")
 
@@ -63,7 +64,7 @@ def test_criterion_2_worked_example_regressions():
     if not want <= got:
         problems.append(f"15-vertex grow points missing {want - got}")
 
-    g1 = _cert(seeds.lookup_seed({1, 3}, variant="g1"))
+    g1 = _cert(seed_row("u136", "g1"))
     first = x2x_swap(g1, 3, 2)
     second = x2x_swap(first, 3, 3)
     if first.multiset != LengthMultiset.parse("1^2 3^9 6^4") or (

@@ -201,6 +201,14 @@ def test_seeds_check(capsys):
     code, out, err = run(capsys, "seeds", "dump", "--table", "nope")
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: ")
+    code, out, err = run(capsys, "seeds", "check", "--table", "nope")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: no-such-seed table: nope\n"
+    code, out, _ = run(capsys, "seeds", "check", "--table", "stable", "--json")
+    assert code == EXIT_OK
+    assert out == (
+        '{"schema": 1, "ok": true, "entries": 4, "failures": []}\n'
+    )
 
 
 def test_bound(capsys):

@@ -31,6 +31,7 @@ from bhr.growth import (
     splice_perfect,
     x2x_swap,
 )
+from conftest import seed_row
 
 
 def _cert(entry):
@@ -42,11 +43,11 @@ def _cert(entry):
 
 
 def _demo9():
-    return _cert(seeds.lookup_seed({1, 2, 3, 4}, variant="demo-9"))
+    return _cert(seed_row("demo", "demo-9"))
 
 
 def _demo15():
-    return _cert(seeds.lookup_seed({1, 2, 3, 4}, variant="demo-15"))
+    return _cert(seed_row("demo", "demo-15"))
 
 
 def test_schedule_parse():
@@ -133,7 +134,7 @@ def test_even_grow_rejects_bad_args():
 
 
 def test_x2x_worked_example():
-    g1 = _cert(seeds.lookup_seed({1, 3}, variant="g1"))
+    g1 = _cert(seed_row("u136", "g1"))
     first = x2x_swap(g1, 3, 2)
     assert first.path.vertices == (
         15, 14, 1, 7, 4, 10, 13, 0, 6, 3, 9, 12, 11, 8, 5, 2,
@@ -148,13 +149,13 @@ def test_x2x_worked_example():
 
 
 def test_x2x_zero_swaps_is_plain_growth():
-    g1 = _cert(seeds.lookup_seed({1, 3}, variant="g1"))
+    g1 = _cert(seed_row("u136", "g1"))
     grown = x2x_swap(g1, 3, 0)
     assert grown.multiset == g1.multiset.add_copies(3, 9)
 
 
 def test_perf_grow_matches_x2x():
-    g1 = _cert(seeds.lookup_seed({1, 3}, variant="g1"))
+    g1 = _cert(seed_row("u136", "g1"))
     for i in range(4):
         parts = [[0, 2, 1, 3]] * i + [[0, 1, 2, 3]] * (3 - i)
         via_parts = perf_grow(g1, 3, [HamPath.of(p) for p in parts])
@@ -164,7 +165,7 @@ def test_perf_grow_matches_x2x():
 
 
 def test_perf_grow_rejects_wrong_part_count():
-    g1 = _cert(seeds.lookup_seed({1, 3}, variant="g1"))
+    g1 = _cert(seed_row("u136", "g1"))
     with pytest.raises((NotGrowableError, ValueError)):
         perf_grow(g1, 3, [HamPath.of([0, 1, 2, 3])])
 
@@ -569,7 +570,7 @@ def _pipeline_grids():
                     residue = (b + c % (2 * x)) % x
                     seed = seed_for_residue(x, residue)
                     yield ms, x, [seed], solvers.solve_1x2x, (a, b, c, x)
-    g_seeds = [entry.certificate() for entry in seeds.table("u136")]
+    g_seeds = [entry.certificate for entry in seeds.table("u136")]
     for c in range(40):
         bound = 13 + c // 2 if c % 2 == 0 else 18 + (c - 1) // 2
         for a in range(1, 5):

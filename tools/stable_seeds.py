@@ -1,4 +1,4 @@
-"""Search for the stable seeds of `seeds.STABLE` and print them as rows.
+"""Search for the rows of the `stable` seed table and print them.
 
     python tools/stable_seeds.py
 
@@ -13,7 +13,7 @@ reach every member, under SearchConfig seeds 0, 1, 2, ..., takes one
 grow point per x the family varies from growth_points, and keeps the
 first choice that survives every schedule with counts below LIMIT (12,
 as in tests/test_seeds.py).  It prints that realization as a row in the
-form of `seeds.STABLE` (columns 1..5), with the seed and CPU time it
+form of the `stable` table (columns 1..5), with the seed and CPU time it
 took.
 
 Every step is deterministic, so two runs print the same rows.  Stdlib
@@ -91,7 +91,8 @@ def find(base: str, xs):
 
 
 def row(name: str, cert: Certificate) -> str:
-    """cert as a row of seeds.STABLE: (None, path, counts, points, name)."""
+    """cert as a row of the `stable` table: (None, path, counts, points,
+    name)."""
     counts = tuple(cert.multiset.multiplicity(x) for x in COLUMNS)
     at = {gp.x: gp.m for gp in cert.grow_points}
     points = tuple(at.get(x) for x in COLUMNS)
