@@ -120,12 +120,6 @@ class LengthMultiset:
     def max_length(self) -> int:
         return self.items[-1][0] if self.items else 0
 
-    def __add__(self, other: "LengthMultiset") -> "LengthMultiset":
-        counts = self.counts()
-        for l, c in other.items:
-            counts[l] = counts.get(l, 0) + c
-        return LengthMultiset.from_counts(counts)
-
     def add_copies(self, length: int, count: int) -> "LengthMultiset":
         counts = self.counts()
         counts[length] = counts.get(length, 0) + count
@@ -227,10 +221,6 @@ def cyclic_lengths(path: HamPath) -> LengthMultiset:
 def linear_diffs(path: HamPath) -> LengthMultiset:
     """Multiset of absolute differences along the path."""
     return LengthMultiset.from_lengths(abs(a - b) for a, b in path.pairs())
-
-
-def is_standard(path: HamPath) -> bool:
-    return path.vertices[0] == 0
 
 
 def is_perfect(path: HamPath) -> bool:

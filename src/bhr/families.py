@@ -4,13 +4,13 @@ with x+3 <= b <= 2x-1.
 
 Together these supply, for any x >= 4, a growable seed whose number of
 x's hits every residue class mod x, which is what the general
-{1, x, 2x} solver needs.
+{1, x, 2x} solver needs.  construct_1x(x, b) is the one entry point: it
+checks x and b, and its branch builders trust them.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .core import (
     Certificate,
@@ -21,45 +21,24 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+def _params(x: int, b: int) -> tuple[int, int]:
     """The (r, s) decomposition behind a {1^(x-2), x^b} construction.
 
-    Derived uniquely from (x, b); the four branches satisfy
+    Derived uniquely from (x, b) with x+3 <= b <= 2x-1; the four
+    branches satisfy
       even x, odd b:  x = 2r+2s+4, b = x+2r+3, 0 <= r <= (x-4)/2
       even x, even b: x = 2r+2s+6, b = x+2r+4, 0 <= r <= (x-6)/2
       odd x, odd b:   x = 2r+2s+5, b = x+2r+4, 0 <= r <= (x-5)/2
       odd x, even b:  x = 2r+2s+5, b = x+2r+3, 0 <= r <= (x-5)/2
     """
-
-    x: int
-    b: int
-    r: int
-    s: int
-
-    @classmethod
-    def derive(cls, x: int, b: int) -> "FamilyParams":
-        if not x + 3 <= b <= 2 * x - 1:
-            raise ValueError(f"b={b} outside range {x+3}..{2*x-1}")
-        if x % 2 == 0:
-            if b % 2 == 1:
-                r = (b - x - 3) // 2
-                s = (x - 4 - 2 * r) // 2
-            else:
-                if x == 4:
-                    raise ValueError("x=4 has no even b in range")
-                r = (b - x - 4) // 2
-                s = (x - 6 - 2 * r) // 2
-        else:
-            if b % 2 == 1:
-                r = (b - x - 4) // 2
-                s = (x - 5 - 2 * r) // 2
-            else:
-                r = (b - x - 3) // 2
-                s = (x - 5 - 2 * r) // 2
-        if r < 0 or s < 0:
-            raise ValueError(f"no (r, s) decomposition for x={x}, b={b}")
-        return cls(x, b, r, s)
+    if x % 2 == 0:
+        if b % 2:
+            r = (b - x - 3) // 2
+            return r, (x - 4 - 2 * r) // 2
+        r = (b - x - 4) // 2
+        return r, (x - 6 - 2 * r) // 2
+    r = (b - x - 4) // 2 if b % 2 else (b - x - 3) // 2
+    return r, (x - 5 - 2 * r) // 2
 
 
 def _cert(seq, counts, points) -> Certificate:
@@ -71,12 +50,9 @@ def _cert(seq, counts, points) -> Certificate:
     )
 
 
-def construct_1x_basic(x: int, which: int) -> Certificate:
-    """The three hand-patterned families: which selects the number of
-    x's among x+1, x+2 and 2x.  All are {1,x}-growable."""
-    if x < 4:
-        raise ValueError("x must be at least 4")
-    if which == x + 1:
+def _basic(x: int, b: int) -> Certificate:
+    """The three hand-patterned families, b in {x+1, x+2, 2x}."""
+    if b == x + 1:
         if x % 2 == 0:
             seq = [1, x + 1, 0, 2 * x, x]
             for j in range(1, x - 1):
@@ -92,7 +68,7 @@ def construct_1x_basic(x: int, which: int) -> Certificate:
             # of the wrap edge (0, 2x) land in the window
             points = [(1, 2 * x - 1), (x, x)]
         counts = {1: x - 1, x: x + 1}
-    elif which == x + 2:
+    elif b == x + 2:
         if x % 2 == 0:
             seq = [x, 2 * x, 0, x + 1, 1, x + 2, 2]
             for j in range(3, x):
@@ -106,7 +82,7 @@ def construct_1x_basic(x: int, which: int) -> Certificate:
                 seq += pair if j % 2 else pair[::-1]
             points = [(1, 2 * x - 2), (x, x - 1)]
         counts = {1: x - 2, x: x + 2}
-    elif which == 2 * x:
+    else:  # b == 2x
         if x % 2 == 0:
             seq = []
             for j in range(0, x - 3):
@@ -125,8 +101,6 @@ def construct_1x_basic(x: int, which: int) -> Certificate:
             seq += [x - 3, 2 * x - 3, 2 * x - 2, x - 2, 3 * x - 3]
             points = [(1, 3 * x - 4), (x, x)]
         counts = {1: x - 2, x: 2 * x}
-    else:
-        raise ValueError(f"which must be {x+1}, {x+2} or {2*x}")
     return _cert(seq, counts, points)
 
 
@@ -149,12 +123,9 @@ def _triples(first, n):
     return seq
 
 
-def construct_1x_even(x: int, b: int) -> Certificate:
+def _even(x: int, b: int) -> Certificate:
     """{1^(x-2), x^b} for even x >= 4 and x+3 <= b <= 2x-1."""
-    if x < 4 or x % 2:
-        raise ValueError("x must be even and at least 4")
-    p = FamilyParams.derive(x, b)
-    r, s = p.r, p.s
+    r, s = _params(x, b)
     if b % 2 == 1:
         # pairs, then triples, then a two-edge closer; v = 6r+4s+10
         seq = _pairs(2 * r + 1, 4 * r + 2 * s + 5, 2 * s + 2)
@@ -179,12 +150,9 @@ def construct_1x_even(x: int, b: int) -> Certificate:
     return _cert(seq, {1: x - 2, x: b}, points)
 
 
-def construct_1x_odd(x: int, b: int) -> Certificate:
+def _odd(x: int, b: int) -> Certificate:
     """{1^(x-2), x^b} for odd x >= 5 and x+3 <= b <= 2x-1."""
-    if x < 5 or x % 2 == 0:
-        raise ValueError("x must be odd and at least 5")
-    p = FamilyParams.derive(x, b)
-    r, s = p.r, p.s
+    r, s = _params(x, b)
     triples = _triples(
         (6 * r + 4 * s + 10, 4 * r + 2 * s + 5, 2 * r), 2 * r + 1
     )
@@ -215,10 +183,10 @@ def construct_1x(x: int, b: int) -> Certificate:
     if not x + 1 <= b <= 2 * x:
         raise ValueError(f"b={b} outside range {x + 1}..{2 * x}")
     if b in (x + 1, x + 2, 2 * x):
-        return construct_1x_basic(x, b)
+        return _basic(x, b)
     if x % 2 == 0:
-        return construct_1x_even(x, b)
-    return construct_1x_odd(x, b)
+        return _even(x, b)
+    return _odd(x, b)
 
 
 @functools.lru_cache(maxsize=1024)

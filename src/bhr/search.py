@@ -273,6 +273,8 @@ def sweep(
     order: {v, admissible_count, realized, unrealizable, unknown,
     seconds}, seconds being the order's wall time.
     """
+    if v_max < 2:
+        raise ValueError("v_max must be at least 2")
     cfg = cfg or SearchConfig()
     cap = DEFAULT_BRUTE_CAP if brute_cap is None else brute_cap
     if definitive and v_max > DEFAULT_DEFINITIVE_CAP:

@@ -20,7 +20,9 @@ grow point for it -- and whose fixed ascending schedule grows without
 breaking a point it still needs.  When none does, the answer is
 out_of_proven_range, and its trace names a seed whose schedule broke,
 if one did.  {1,3,6} and {1,x,2x} (x >= 4) run the longer swap
-pipelines of solve_136 and solve_1x2x.
+pipelines.  solve_136 and solve_1x2x take those sets' multiplicities
+and force their pipeline even with no 2x's, where solve() sees a set
+of size 2 and names the external-theorem region.
 """
 
 from __future__ import annotations
@@ -188,21 +190,6 @@ def _drive(ms, rule) -> Step:
     if isinstance(rule, str):
         return _EXTERNAL, {"why": rule}, None
     return _replay(ms, rule)
-
-
-def solve_u123(a: int, b: int, c: int) -> SolveOutcome:
-    """{1^a, 2^b, 3^c}; proof replay needs a, b, c >= 1."""
-    return solve(LengthMultiset.from_counts({1: a, 2: b, 3: c}))
-
-
-def solve_u145(a: int, b: int, c: int) -> SolveOutcome:
-    """{1^a, 4^b, 5^c}; proof replay needs a, b, c >= 1."""
-    return solve(LengthMultiset.from_counts({1: a, 4: b, 5: c}))
-
-
-def solve_u1234(a: int, b: int, c: int, d: int) -> SolveOutcome:
-    """{1^a, 2^b, 3^c, 4^d}; solve()'s table picks the region by a."""
-    return solve(LengthMultiset.from_counts({1: a, 2: b, 3: c, 4: d}))
 
 
 def _swap_plan(seed_counts, target, x):

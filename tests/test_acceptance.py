@@ -14,11 +14,7 @@ from bhr.core import (
     is_growable_at,
     verify_realization,
 )
-from bhr.families import (
-    construct_1x_basic,
-    construct_1x_even,
-    construct_1x_odd,
-)
+from bhr.families import construct_1x
 from bhr.growth import grow, splice_perfect, x2x_swap
 from bhr.search import SearchConfig, brute_force, enumerate_admissible, sweep
 from bhr.solvers import hr_bound, solve, solve_1x2x
@@ -80,16 +76,16 @@ def test_criterion_2_worked_example_regressions():
         problems.append("second swap intermediate mismatch")
 
     family_fixtures = [
-        (construct_1x_even(8, 13),
+        (construct_1x(8, 13),
          (3, 11, 12, 4, 5, 13, 14, 6, 18, 10, 2, 1, 9, 17, 16, 8, 0,
           19, 7, 15)),
-        (construct_1x_odd(9, 14),
+        (construct_1x(9, 14),
          (12, 3, 4, 13, 14, 5, 6, 15, 16, 7, 20, 11, 2, 1, 10, 19, 18,
           9, 0, 21, 8, 17)),
-        (construct_1x_even(10, 16),
+        (construct_1x(10, 16),
          (17, 7, 8, 18, 19, 9, 10, 20, 21, 11, 1, 16, 6, 5, 15, 0, 24,
           14, 4, 3, 13, 23, 22, 12, 2)),
-        (construct_1x_odd(13, 21),
+        (construct_1x(13, 21),
          (30, 17, 4, 3, 16, 29, 28, 15, 2, 1, 14, 27, 26, 13, 0, 32,
           12, 25, 24, 11, 31, 18, 5, 6, 19, 20, 7, 8, 21, 22, 9, 10,
           23)),
@@ -106,18 +102,8 @@ def test_criterion_3_family_sweep():
     checked = 0
     problems = []
     for x in range(4, 51):
-        bs = [(x + 1, "basic"), (x + 2, "basic"), (2 * x, "basic")]
-        for b in range(x + 3, 2 * x):
-            if x == 4 and b % 2 == 0:
-                continue  # x=4 has no even b in the lemma range
-            bs.append((b, "lemma"))
-        for b, kind in bs:
-            if kind == "basic":
-                cert = construct_1x_basic(x, b)
-            elif x % 2 == 0:
-                cert = construct_1x_even(x, b)
-            else:
-                cert = construct_1x_odd(x, b)
+        for b in range(x + 1, 2 * x + 1):
+            cert = construct_1x(x, b)
             if not verify_realization(cert.path, cert.multiset):
                 problems.append((x, b, "verify"))
             if {gp.x for gp in cert.grow_points} != {1, x}:

@@ -234,6 +234,11 @@ def test_sweep(capsys):
         )
         assert line.startswith(head), line
         float(line[len(head):])
+    for vmax in ("1", "0", "-3"):
+        for json_flag in ((), ("--json",)):
+            code, out, err = run(capsys, "sweep", "--vmax", vmax, *json_flag)
+            assert (code, out) == (EXIT_USAGE, ""), vmax
+            assert err == "seed: 0\nerror: v_max must be at least 2\n"
 
 
 def test_sweep_honours_brute_cap_env(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -48,6 +49,12 @@ def _demo9():
 
 def _demo15():
     return _cert(seed_row("demo", "demo-15"))
+
+
+def _plus(a, b):
+    """The multiset sum of a and b."""
+    counts = Counter(a.counts()) + Counter(b.counts())
+    return LengthMultiset.from_counts(counts)
 
 
 def test_schedule_parse():
@@ -106,7 +113,8 @@ def test_grow_point_relocation_can_drop():
 def test_splice_perfect():
     base = _demo15()
     spliced = splice_perfect(base, HamPath.of([0, 2, 1, 3]))
-    assert spliced.multiset == base.multiset + LengthMultiset.parse("1 2^2")
+    added = LengthMultiset.parse("1 2^2")
+    assert spliced.multiset == _plus(base.multiset, added)
     assert spliced.path.v == base.path.v + 3
 
 
@@ -118,11 +126,12 @@ def test_splice_rejects_imperfect():
 def test_even_grow():
     base = _demo15()
     grown = even_grow(base, 4, 4)
-    assert grown.multiset == base.multiset + LengthMultiset.parse("1^4 4^10")
+    added = LengthMultiset.parse("1^4 4^10")
+    assert grown.multiset == _plus(base.multiset, added)
     assert any(gp.x == 4 for gp in grown.grow_points)
     again = even_grow(grown, 4, 6)
-    assert again.multiset == grown.multiset + LengthMultiset.parse(
-        "1^6 4^5 6^7"
+    assert again.multiset == _plus(
+        grown.multiset, LengthMultiset.parse("1^6 4^5 6^7")
     )
 
 
@@ -248,7 +257,7 @@ def _ref_runs_op(cert, x, k, runs, added, step):
             vs, [start + j * x for j in range(k + 1)], translate(repl, start)
         )
     return _ref_certify(
-        HamPath.of(vs), cert.multiset + added, grown.grow_points,
+        HamPath.of(vs), _plus(cert.multiset, added), grown.grow_points,
         grown.trace + (step,),
     )
 
@@ -267,7 +276,7 @@ def _ref_x2x(cert, x, i):
 def _ref_perf_grow(cert, x, parts):
     added = LengthMultiset(())
     for p in parts:
-        added = added + linear_diffs(HamPath.of(p)).scale(x)
+        added = _plus(added, linear_diffs(HamPath.of(p)).scale(x))
     return _ref_runs_op(
         cert, x, len(parts[0]) - 1, [[x * e for e in p] for p in parts],
         added, ("perf_grow", trace_params(x=x, parts=parts)),
@@ -284,7 +293,8 @@ def _ref_splice(cert, k_real):
     )
     path = HamPath.of(vs)
     cert2 = _ref_certify(
-        path, cert.multiset + linear_diffs(HamPath.of(k_real)), [],
+        path, _plus(cert.multiset, linear_diffs(HamPath.of(k_real))),
+        [],
         grown.trace + (("splice", trace_params(k_real=k_real)),),
     )
     return Certificate(
@@ -329,7 +339,7 @@ def _ref_even_grow(cert, y, z):
     ]
     carried = [p for p in carried if p not in new]
     cert2 = _ref_certify(
-        path, cert.multiset + added, carried,
+        path, _plus(cert.multiset, added), carried,
         grown.trace + (("even_grow", {"y": y, "z": z}),),
     )
     return Certificate(

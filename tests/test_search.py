@@ -271,3 +271,9 @@ def test_sweep_definitive_small():
         assert r["unrealizable"] == 0
         assert r["unknown"] == 0
         assert r["realized"] == r["admissible_count"]
+
+
+def test_sweep_rejects_orders_below_two():
+    for v_max in (1, 0, -3):
+        with pytest.raises(ValueError, match="v_max must be at least 2"):
+            sweep(v_max)

@@ -10,15 +10,7 @@ from bhr.core import (
     verify_realization,
 )
 from bhr.search import SearchConfig
-from bhr.solvers import (
-    hr_bound,
-    solve,
-    solve_136,
-    solve_1x2x,
-    solve_u123,
-    solve_u145,
-    solve_u1234,
-)
+from bhr.solvers import hr_bound, solve, solve_136, solve_1x2x
 
 
 def _check_solved(out, counts):
@@ -30,12 +22,12 @@ def _check_solved(out, counts):
 
 def test_u123_examples():
     for a, b, c in [(1, 2, 3), (5, 6, 9), (3, 1, 1), (2, 4, 2), (7, 7, 7)]:
-        out = solve_u123(a, b, c)
+        out = solve(LengthMultiset.from_counts({1: a, 2: b, 3: c}))
         _check_solved(out, {1: a, 2: b, 3: c})
 
 
 def test_u123_external_region():
-    out = solve_u123(0, 3, 4)
+    out = solve(LengthMultiset.from_counts({1: 0, 2: 3, 3: 4}))
     assert out.status == "search_fallback"
     assert out.trace[0][0] == "external-theorem region"
     assert out.ok
@@ -43,12 +35,12 @@ def test_u123_external_region():
 
 def test_u145_examples():
     for a, b, c in [(2, 4, 5), (1, 4, 12), (3, 2, 6), (4, 1, 9)]:
-        out = solve_u145(a, b, c)
+        out = solve(LengthMultiset.from_counts({1: a, 4: b, 5: c}))
         _check_solved(out, {1: a, 4: b, 5: c})
 
 
 def test_u145_inadmissible():
-    out = solve_u145(1, 1, 7)
+    out = solve(LengthMultiset.from_counts({1: 1, 4: 1, 5: 7}))
     assert out.status == "not_admissible"
     assert not out.ok
 
@@ -56,7 +48,7 @@ def test_u145_inadmissible():
 def test_u1234_examples():
     for a, b, c, d in [(1, 1, 3, 4), (1, 2, 3, 1), (0, 1, 3, 4),
                        (0, 2, 3, 4), (1, 3, 2, 2)]:
-        out = solve_u1234(a, b, c, d)
+        out = solve(LengthMultiset.from_counts({1: a, 2: b, 3: c, 4: d}))
         _check_solved(out, {1: a, 2: b, 3: c, 4: d})
 
 
@@ -64,14 +56,14 @@ def test_u1234_external_regions():
     # a >= 3 and the |U| <= 2 subcases are covered by prior results and
     # handled by verified search
     for abcd in [(3, 2, 2, 2), (2, 1, 3, 3), (0, 0, 3, 4), (2, 2, 0, 3)]:
-        out = solve_u1234(*abcd)
+        out = solve(LengthMultiset.from_counts(dict(zip((1, 2, 3, 4), abcd))))
         assert out.status == "search_fallback", abcd
         assert out.trace[0][0] == "external-theorem region"
         assert out.ok, abcd
 
 
 def test_u1234_d_zero_delegates():
-    out = solve_u1234(2, 3, 4, 0)
+    out = solve(LengthMultiset.from_counts({1: 2, 2: 3, 3: 4, 4: 0}))
     _check_solved(out, {1: 2, 2: 3, 3: 4})
 
 
@@ -109,26 +101,6 @@ def test_solve_routes_each_underlying_set():
             assert name == "replay" and step["table"] in want, (text, step)
     covered = {LengthMultiset.parse(t).underlying_set for t, _ in ROUTES}
     assert set(solvers._DRIVERS) <= covered
-
-
-def test_wrappers_answer_as_solve():
-    # the inputs of the wrapper tests above
-    cases = [
-        (solve_u123, (1, 2, 3), [(1, 2, 3), (5, 6, 9), (3, 1, 1), (2, 4, 2),
-                                 (7, 7, 7), (0, 3, 4), (2, 5, 1)]),
-        (solve_u145, (1, 4, 5), [(2, 4, 5), (1, 4, 12), (3, 2, 6), (4, 1, 9),
-                                 (1, 1, 7)]),
-        (solve_u1234, (1, 2, 3, 4), [(1, 1, 3, 4), (1, 2, 3, 1), (0, 1, 3, 4),
-                                     (0, 2, 3, 4), (1, 3, 2, 2), (3, 2, 2, 2),
-                                     (2, 1, 3, 3), (0, 0, 3, 4), (2, 2, 0, 3),
-                                     (2, 3, 4, 0)]),
-    ]
-    for wrapper, lengths, inputs in cases:
-        for counts in inputs:
-            ms = LengthMultiset.from_counts(
-                {x: n for x, n in zip(lengths, counts) if n}
-            )
-            assert wrapper(*counts) == solve(ms), (wrapper.__name__, counts)
 
 
 def test_136_worked_example():
@@ -396,7 +368,8 @@ def test_replay_trace_params_are_read_only():
     """Answers grown from one seed share its trace entries, so editing
     one answer's entry must fail rather than rename the seed in every
     other answer; the printed forms stay plain dicts and lists."""
-    first, second = solve_u123(5, 6, 9), solve_u123(5, 6, 12)
+    first = solve(LengthMultiset.from_counts({1: 5, 2: 6, 3: 9}))
+    second = solve(LengthMultiset.from_counts({1: 5, 2: 6, 3: 12}))
     seed = first.certificate.trace[0]
     assert seed[0] == "seed" and seed[1] is second.certificate.trace[0][1]
     with pytest.raises(TypeError):

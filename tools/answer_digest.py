@@ -9,11 +9,13 @@ b from its bound - 1 to bound + 5), and solve()'s search policy: the
 two grids routed through solve(), then every admissible multiset over
 {1,2,5} and {1,2,6} with v <= 30 (no driver; their subsets give the
 |U| <= 2 targets), each with fallback off and then, for v <= 30, on.
-Each answer is hashed as the repr
-of (target, status, outcome trace, path, grow points, multiset items,
-certificate trace in to_dict form), one line per target, so two
-checkouts that print the same digests gave the same answers.  The
-criterion-4 set takes about as long as criterion 4 itself.
+The fifth set is every closed-form family seed construct_1x(x, b) for
+x = 4..50 and b = x+1..2x.  Each answer is hashed as the repr of
+(target, status, outcome trace, path, grow points, multiset items,
+certificate trace in to_dict form), one line per target; a family seed
+has no status or outcome trace.  So two checkouts that print the same
+digests gave the same answers.  The criterion-4 set takes about as long
+as criterion 4 itself.
 """
 
 from __future__ import annotations
@@ -25,23 +27,25 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bhr.core import LengthMultiset  # noqa: E402
+from bhr.families import construct_1x  # noqa: E402
 from bhr.search import enumerate_admissible  # noqa: E402
 from bhr.solvers import solve, solve_136, solve_1x2x  # noqa: E402
 
 
-def _line(target, out) -> bytes:
-    cert = out.certificate
-    answer = (
-        (
-            cert.path.vertices,
-            tuple((gp.x, gp.m) for gp in cert.grow_points),
-            cert.multiset.items,
-            cert.to_dict()["trace"],
-        )
-        if cert
-        else (None, None, None, None)
+def _fields(cert) -> tuple:
+    if cert is None:
+        return None, None, None, None
+    return (
+        cert.path.vertices,
+        tuple((gp.x, gp.m) for gp in cert.grow_points),
+        cert.multiset.items,
+        cert.to_dict()["trace"],
     )
-    return repr((target, out.status, out.trace) + answer).encode() + b"\n"
+
+
+def _line(target, out) -> bytes:
+    fields = (target, out.status, out.trace) + _fields(out.certificate)
+    return repr(fields).encode() + b"\n"
 
 
 def criterion_4():
@@ -51,7 +55,7 @@ def criterion_4():
             for ms in enumerate_admissible(v, lengths=lengths):
                 if ms not in seen:
                     seen.add(ms)
-                    yield ms.items, solve(ms)
+                    yield _line(ms.items, solve(ms))
 
 
 def _grid_1x2x():
@@ -73,12 +77,12 @@ def _grid_136():
 
 def criterion_5():
     for key in _grid_1x2x():
-        yield key, solve_1x2x(*key)
+        yield _line(key, solve_1x2x(*key))
 
 
 def grid_136():
     for key in _grid_136():
-        yield key, solve_136(*key)
+        yield _line(key, solve_136(*key))
 
 
 def routes():
@@ -100,7 +104,15 @@ def routes():
     for fallback in (False, True):
         for ms in targets:
             if not fallback or ms.v <= 30:
-                yield (ms.items, fallback), solve(ms, fallback=fallback)
+                out = solve(ms, fallback=fallback)
+                yield _line((ms.items, fallback), out)
+
+
+def families():
+    for x in range(4, 51):
+        for b in range(x + 1, 2 * x + 1):
+            line = ((x, b),) + _fields(construct_1x(x, b))
+            yield repr(line).encode() + b"\n"
 
 
 def main() -> int:
@@ -109,11 +121,12 @@ def main() -> int:
         ("criterion-5 solve_1x2x", criterion_5()),
         ("solve_136 grid", grid_136()),
         ("solve() routes, fallback off and on", routes()),
+        ("families construct_1x", families()),
     ):
         digest = hashlib.sha256()
         count = 0
-        for target, out in answers:
-            digest.update(_line(target, out))
+        for line in answers:
+            digest.update(line)
             count += 1
         print(f"{digest.hexdigest()}  {count:6d}  {name}", flush=True)
     return 0
