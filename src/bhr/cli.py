@@ -197,12 +197,12 @@ def cmd_search(args) -> Certificate | int:
         max_restarts=args.restarts,
         max_steps_per_restart=args.steps,
     )
-    print(f"seed: {args.seed}", file=sys.stderr)
     try:
         cert = search.local_search(ms, cfg)
     except MultisetError as exc:
         _emit(args, {"ok": False, "detail": str(exc)}, str(exc))
         return EXIT_NOT_ADMISSIBLE
+    print(f"seed: {args.seed}", file=sys.stderr)
     if cert is None:
         _emit(
             args,
@@ -230,8 +230,8 @@ def cmd_oracle(args) -> Certificate | int:
 def cmd_sweep(args) -> int:
     cfg = search.SearchConfig(rng_seed=args.seed)
     cap = _default_brute_cap()
-    print(f"seed: {args.seed}", file=sys.stderr)
     report = search.sweep(args.vmax, cfg, args.definitive, cap)
+    print(f"seed: {args.seed}", file=sys.stderr)
     row = (
         "v={v}: admissible={admissible_count} realized={realized} "
         "unrealizable={unrealizable} unknown={unknown} "

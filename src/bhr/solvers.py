@@ -9,25 +9,28 @@ search and flagged as such in the trace, or out_of_proven_range, which
 is searched only when fallback is requested.  The search runs
 local_search, then brute_force under brute_cap.
 
-solve() dispatches on the underlying set U.  Sets of size <= 2 belong
-to the external-theorem region.  For {1,2,3}, {1,4,5} and the subsets
-of {1,2,3,4}, the table _DRIVERS says what to do: replay seed tables in
-order, name the external region, or choose between those by the number
-of 1s.  The replay engine `_replay` is one pass over those tables: it
-answers with the first seed that subsumes the target -- every length's
-deficit is a nonnegative multiple of the length and the seed declares a
-grow point for it -- and whose fixed ascending schedule grows without
-breaking a point it still needs.  When none does, the answer is
-out_of_proven_range, and its trace names a seed whose schedule broke,
-if one did.  {1,3,6} and {1,x,2x} (x >= 4) run the longer swap
-pipelines.  solve_136 and solve_1x2x take those sets' multiplicities
-and force their pipeline even with no 2x's, where solve() sees a set
-of size 2 and names the external-theorem region.
+solve() takes its driver from one table, _DRIVERS, by the underlying
+set U.  A row names a seed source, (trace label, Certificate) pairs, and
+an engine, or cites the external-theorem region:
+
+  {1,2,3}, {1,4,5}, {2,3,4}  _replay over the row's seed tables
+  {1,3,4}, {1,2,3,4}         by the number a of 1s: _replay when a = 1,
+                             or a = 2 over {1,3,4}; else cited
+  {1,2,4}, |U| <= 2          cited
+  {1,3,6}                    _swap_pipeline from the u136 g-seeds
+  {1,x,2x}, x >= 4           _swap_pipeline from the residue seed
+  any other U                out_of_proven_range: no driver
+
+_route keys |U| <= 2 and every {1,x,2x} by rule.  The swap rows check
+their proven range first.  solve_136 and solve_1x2x run those drivers
+on the multiplicities they take, even with no 2x's, where solve() sees
+a set of size 2 and cites the region.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from .core import (
     Admissibility,
@@ -129,67 +132,52 @@ def _schedule_for(seed: Certificate, target: dict[int, int]):
     return sched
 
 
-def _replay(ms: LengthMultiset, table_ids) -> Step:
-    """One pass over the given tables, in table order: grow the first
-    seed that subsumes ms by its fixed ascending schedule, skipping a
-    seed whose schedule breaks a point it still needs.  When no entry
-    works the step is out of range, and names the first subsuming seed
-    whose schedule broke, if one did."""
+def _replay(ms: LengthMultiset, seeds) -> Step:
+    """Grow the first of the (label, seed) pairs that subsumes ms by
+    its fixed ascending schedule, skipping a seed whose schedule breaks
+    a point it still needs.  When none works the step is out of range,
+    and names the first subsuming seed whose schedule broke, if one
+    did."""
     target = ms.counts()
     broke = None
-    for tid in table_ids:
-        for entry in seed_tables.table(tid):
-            seed = entry.certificate
-            sched = _schedule_for(seed, target)
-            if sched is None:
-                continue
-            try:
-                cert = multi_grow(seed, GrowthSchedule(tuple(sched)))
-            except NotGrowableError:
-                broke = broke or f"{entry.table_id} {entry.variant}"
-                continue
-            step = {"table": entry.table_id, "variant": entry.variant}
-            return "replay", {**step, "schedule": sched}, cert
+    for label, seed in seeds:
+        sched = _schedule_for(seed, target)
+        if sched is None:
+            continue
+        try:
+            cert = multi_grow(seed, GrowthSchedule(tuple(sched)))
+        except NotGrowableError:
+            broke = broke or " ".join(label.values())
+            continue
+        return "replay", {**label, "schedule": sched}, cert
     why = f"fixed schedule broke on {broke}" if broke else "no subsuming seed"
     return _OUT_OF_RANGE, {"why": why}, None
+
+
+class _Row:
+    """A row of _DRIVERS over seed tables: called, it is the driver
+    engine(ms, seeds), _replay unless named.  Its seed source, seeds,
+    pairs each entry of the tables, in table order, with its own seed
+    step {table, variant} as its trace label; it is built on first use."""
+
+    def __init__(self, *table_ids, engine=_replay):
+        self.table_ids, self.engine = table_ids, engine
+
+    @cached_property
+    def seeds(self) -> tuple:
+        return tuple(
+            (entry.certificate.trace[0][1], entry.certificate)
+            for tid in self.table_ids
+            for entry in seed_tables.table(tid)
+        )
+
+    def __call__(self, ms) -> Step:
+        return self.engine(ms, self.seeds)
 
 
 def _mults(ms: LengthMultiset, *lengths: int) -> tuple[int, ...]:
     counts = ms.counts()
     return tuple(counts.get(l, 0) for l in lengths)
-
-
-# The proof-replay drivers as data.  Each covered underlying set of
-# size >= 3 maps to the seed tables _replay tries, in order; to the
-# reason, a string, why its region is cited from earlier work rather
-# than constructed; or to a choice by the number of 1s, where a count
-# not listed is the a >= 3 / a = 2, b >= 1 region of {1,2,3,4}.
-_REGION_A = "a >= 3 or (a = 2, b >= 1) region"
-_U1234_A1 = ("u134", "u1234-beven", "u1234-bodd", "supplement", "stable")
-_DRIVERS = {
-    frozenset({1, 2, 3}): ("u123-main", "u123-1g", "supplement", "stable"),
-    frozenset({1, 4, 5}): (
-        "u145-a2", "u145-a3", "u145-a1", "u145-4g", "inproof", "supplement"
-    ),
-    frozenset({1, 2, 4}): "no 3's: subset of {1,2,4}",
-    frozenset({2, 3, 4}): (
-        "u234-bodd", "u234-beven", "inproof", "supplement"
-    ),
-    frozenset({1, 3, 4}): {
-        1: _U1234_A1,
-        2: ("u1234-a2", "inproof", "supplement"),
-    },
-    frozenset({1, 2, 3, 4}): {1: _U1234_A1},
-}
-
-
-def _drive(ms, rule) -> Step:
-    """The step for an admissible ms by its row of _DRIVERS."""
-    if isinstance(rule, dict):
-        rule = rule.get(ms.multiplicity(1), _REGION_A)
-    if isinstance(rule, str):
-        return _EXTERNAL, {"why": rule}, None
-    return _replay(ms, rule)
 
 
 def _swap_plan(seed_counts, target, x):
@@ -212,37 +200,32 @@ def _swap_plan(seed_counts, target, x):
     return i, full, (b - b_after) // x, a - a1
 
 
-def _swap_pipeline(ms, x, seeds) -> Step | None:
-    """Grow the first of the (trace label, seed) pairs that reaches ms
-    by x/2x swaps, then x-grows and 1-grows.  Returns None when no seed
+def _swap_pipeline(ms, seeds, x, miss) -> Step:
+    """Grow the first of the (label, seed) pairs that reaches ms by x/2x
+    swaps, then x-grows and 1-grows; out of range for miss when none
     does.  The swaps and grows run on one chain, so each answer is
     checked by one Certificate."""
     target = _mults(ms, 1, x, 2 * x)
-    for (key, label), seed in seeds:
+    for label, seed in seeds:
         plan = _swap_plan(_mults(seed.multiset, 1, x, 2 * x), target, x)
         if plan is None:
             continue
         i, full, x_grows, one_grows = plan
-        steps = GrowthSchedule(((x, x_grows), (1, one_grows)))
         chain = _Chain(seed)
         try:
             if i:
                 chain.swap(x, i, 1)
             if full:
                 chain.swap(x, x, full)
-            chain.multi_grow(steps)
+            chain.multi_grow(GrowthSchedule(((x, x_grows), (1, one_grows))))
             cert = chain.certify("swap pipeline") if any(plan) else seed
         except NotGrowableError:
             continue
-        step = {
-            key: label,
-            "i": i,
-            "full_swaps": full,
-            "x_grows": x_grows,
-            "one_grows": one_grows,
-        }
+        step = dict(
+            label, i=i, full_swaps=full, x_grows=x_grows, one_grows=one_grows
+        )
         return "swap-pipeline", step, cert
-    return None
+    return _OUT_OF_RANGE, {"why": miss}, None
 
 
 def solve_136(a: int, b: int, c: int) -> SolveOutcome:
@@ -251,21 +234,17 @@ def solve_136(a: int, b: int, c: int) -> SolveOutcome:
     Proven range: a >= 1 and b >= 13 + c/2 (even c) or
     b >= 18 + (c-1)/2 (odd c).
     """
-    return _answer(LengthMultiset.from_counts({1: a, 3: b, 6: c}), _u136)
+    ms = LengthMultiset.from_counts({1: a, 3: b, 6: c})
+    return _answer(ms, _DRIVERS[1, 3, 6])
 
 
-def _u136(ms) -> Step:
+def _u136(ms, seeds) -> Step:
     a, b, c = _mults(ms, 1, 3, 6)
     bound = 13 + c // 2 if c % 2 == 0 else 18 + (c - 1) // 2
     if a < 1 or b < bound:
         return _OUT_OF_RANGE, {"why": f"need a >= 1 and b >= {bound}"}, None
-    seeds = (
-        (("seed", entry.variant), entry.certificate)
-        for entry in seed_tables.table("u136")
-    )
-    return _swap_pipeline(ms, 3, seeds) or (
-        _OUT_OF_RANGE, {"why": "no g-seed fits"}, None
-    )
+    g_seeds = (({"seed": step["variant"]}, seed) for step, seed in seeds)
+    return _swap_pipeline(ms, g_seeds, 3, "no g-seed fits")
 
 
 def solve_1x2x(a: int, b: int, c: int, x: int) -> SolveOutcome:
@@ -289,10 +268,35 @@ def _u1x2x(ms, x) -> Step:
     # the residue-1 seed needs a' = x-1; an admissible instance always
     # clears it, so a refusal means the instance slipped outside the
     # argument
-    label = ("seed_b", seed.multiset.multiplicity(x))
-    return _swap_pipeline(ms, x, ((label, seed),)) or (
-        _OUT_OF_RANGE, {"why": "seed multiplicities not subsumed"}, None
-    )
+    seeds = (({"seed_b": seed.multiset.multiplicity(x)}, seed),)
+    return _swap_pipeline(ms, seeds, x, "seed multiplicities not subsumed")
+
+
+def _cited(why, ms) -> Step:
+    return _EXTERNAL, {"why": why}, None
+
+
+def _by_ones(choices, ms) -> Step:
+    return choices.get(ms.multiplicity(1), _REGION_A)(ms)
+
+
+_REGION_A = partial(_cited, "a >= 3 or (a = 2, b >= 1) region")
+_U1234_A1 = _Row("u134", "u1234-beven", "u1234-bodd", "supplement", "stable")
+_DRIVERS = {
+    (1, 2, 3): _Row("u123-main", "u123-1g", "supplement", "stable"),
+    (1, 4, 5): _Row(
+        "u145-a2", "u145-a3", "u145-a1", "u145-4g", "inproof", "supplement"
+    ),
+    (1, 2, 4): partial(_cited, "no 3's: subset of {1,2,4}"),
+    (2, 3, 4): _Row("u234-bodd", "u234-beven", "inproof", "supplement"),
+    (1, 3, 4): partial(_by_ones, {
+        1: _U1234_A1, 2: _Row("u1234-a2", "inproof", "supplement")
+    }),
+    (1, 2, 3, 4): partial(_by_ones, {1: _U1234_A1}),
+    (1, 3, 6): _Row("u136", engine=_u136),
+    "{1,x,2x}": lambda ms: _u1x2x(ms, sorted(ms.underlying_set)[1]),
+    "|U| <= 2": partial(_cited, "underlying set of size <= 2"),
+}
 
 
 def hr_bound(ms) -> int:
@@ -323,14 +327,10 @@ def solve(
 
 
 def _route(ms) -> Step:
-    u = ms.underlying_set
-    if len(u) <= 2:
-        return _EXTERNAL, {"why": "underlying set of size <= 2"}, None
-    if u in _DRIVERS:
-        return _drive(ms, _DRIVERS[u])
-    if u == {1, 3, 6}:
-        return _u136(ms)
-    x = sorted(u)[1]
-    if x >= 4 and u == {1, x, 2 * x}:
-        return _u1x2x(ms, x)
-    return _OUT_OF_RANGE, {"why": f"no driver for U = {sorted(u)}"}, None
+    u = tuple(sorted(ms.underlying_set))
+    key = u if len(u) > 2 else "|U| <= 2"
+    if len(u) > 2 and u[1] >= 4 and u == (1, u[1], 2 * u[1]):
+        key = "{1,x,2x}"
+    if key not in _DRIVERS:
+        return _OUT_OF_RANGE, {"why": f"no driver for U = {list(u)}"}, None
+    return _DRIVERS[key](ms)

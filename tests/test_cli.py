@@ -234,11 +234,17 @@ def test_sweep(capsys):
         )
         assert line.startswith(head), line
         float(line[len(head):])
+    # a rejected call prints no seed: it never ran
     for vmax in ("1", "0", "-3"):
         for json_flag in ((), ("--json",)):
             code, out, err = run(capsys, "sweep", "--vmax", vmax, *json_flag)
             assert (code, out) == (EXIT_USAGE, ""), vmax
-            assert err == "seed: 0\nerror: v_max must be at least 2\n"
+            assert err == "error: v_max must be at least 2\n"
+    code, out, err = run(capsys, "sweep", "--definitive", "--vmax", "13")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: definitive sweep capped at v <= 12\n"
+    code, out, err = run(capsys, "sweep", "--vmax", "3", "--seed", "4")
+    assert (code, err) == (EXIT_OK, "seed: 4\n")
 
 
 def test_sweep_honours_brute_cap_env(capsys, monkeypatch):
@@ -382,7 +388,11 @@ def test_search_failure_exit_codes(capsys):
         "ok": False,
         "detail": "not admissible: length 5 exceeds floor(v/2)",
     }
-    assert err == "seed: 0\n"
+    assert err == ""  # rejected before it ran, so no seed
+    code, out, err = run(capsys, "search", "2^5")
+    assert code == EXIT_NOT_ADMISSIBLE
+    assert out == "not admissible: divisor 2: 5 multiples exceed bound 4\n"
+    assert err == ""
     argv = ("search", "2^3 3^4 4^4", "--restarts", "1", "--steps", "1")
     code, out, err = run(capsys, *argv)
     assert code == EXIT_SEARCH_FAILED

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bhr import growth, solvers
+from bhr import growth, seeds, solvers
 from bhr.core import (
     Certificate,
     LengthMultiset,
@@ -70,37 +70,79 @@ def test_u1234_d_zero_delegates():
 U123 = {"u123-main", "u123-1g", "supplement"}
 U1234_A1 = {"u134", "u1234-beven", "u1234-bodd", "supplement"}
 REGION_A = "a >= 3 or (a = 2, b >= 1) region"
+SMALL = "underlying set of size <= 2"
+# (row key of solvers._DRIVERS, or None for no row; target; what its
+# step names: the tables one of which replays, the swap seed's label
+# key, or the reason it cites or refuses)
 ROUTES = [
-    ("1 2 3^3", U123),
-    ("1 4^3 5^5", {"u145-a2", "u145-a3", "u145-a1", "u145-4g", "inproof",
-                   "supplement"}),
-    ("1 2^2 4^4", "no 3's: subset of {1,2,4}"),
-    ("2 3^2 4^4", {"u234-bodd", "u234-beven", "inproof", "supplement"}),
-    ("1 3^2 4^4", U1234_A1),
-    ("1^2 3 4^4", {"u1234-a2", "inproof", "supplement"}),
-    ("1^3 3 4^3", REGION_A),
-    ("1 2 3 4^4", U1234_A1),
-    ("1^2 2 3 4^3", REGION_A),
-    ("3^6", "underlying set of size <= 2"),
-    ("1^5 2", "underlying set of size <= 2"),
+    ((1, 2, 3), "1 2 3^3", U123),
+    ((1, 4, 5), "1 4^3 5^5", {"u145-a2", "u145-a3", "u145-a1", "u145-4g",
+                              "inproof", "supplement"}),
+    ((1, 2, 4), "1 2^2 4^4", "no 3's: subset of {1,2,4}"),
+    ((2, 3, 4), "2 3^2 4^4", {"u234-bodd", "u234-beven", "inproof",
+                              "supplement"}),
+    ((1, 3, 4), "1 3^2 4^4", U1234_A1),
+    ((1, 3, 4), "1^2 3 4^4", {"u1234-a2", "inproof", "supplement"}),
+    ((1, 3, 4), "1^3 3 4^3", REGION_A),
+    ((1, 2, 3, 4), "1 2 3 4^4", U1234_A1),
+    ((1, 2, 3, 4), "1^2 2 3 4^3", REGION_A),
+    ((1, 3, 6), "1^3 3^18 6^10", "seed"),
+    ("{1,x,2x}", "1^3 4^21 8^4", "seed_b"),
+    ("{1,x,2x}", "1^3 5^28 10^2", "seed_b"),
+    ("|U| <= 2", "3^6", SMALL),
+    ("|U| <= 2", "1^5 2", SMALL),
+    (None, "1^3 2^3 5^4", "no driver for U = [1, 2, 5]"),
 ]
 
 
-def test_solve_routes_each_underlying_set():
+def test_solve_routes_each_underlying_set(monkeypatch):
     # one small target per row of the driver table, and per count of 1s
-    # where a row picks by it: the external reason, or a replay from
-    # one of the row's seed tables
-    for text, want in ROUTES:
+    # where a row picks by it; |U| <= 2 and {1,x,2x} reach their rows by
+    # rule
+    reached = []
+    for key, driver in list(solvers._DRIVERS.items()):
+        def spy(ms, key=key, driver=driver):
+            reached.append(key)
+            return driver(ms)
+        monkeypatch.setitem(solvers._DRIVERS, key, spy)
+    for key, text, want in ROUTES:
+        reached.clear()
         out = solve(LengthMultiset.parse(text))
+        assert reached == ([key] if key else []), text
         name, step = out.trace[0]
-        if isinstance(want, str):
+        if name == "replay":
+            _check_solved(out, LengthMultiset.parse(text).counts())
+            assert step["table"] in want, (text, step)
+        elif name == "swap-pipeline":
+            _check_solved(out, LengthMultiset.parse(text).counts())
+            assert want in step, (text, step)
+        elif key:
             assert out.status == "search_fallback" and out.ok, text
             assert (name, step["why"]) == ("external-theorem region", want)
         else:
-            _check_solved(out, LengthMultiset.parse(text).counts())
-            assert name == "replay" and step["table"] in want, (text, step)
-    covered = {LengthMultiset.parse(t).underlying_set for t, _ in ROUTES}
-    assert set(solvers._DRIVERS) <= covered
+            assert (out.status, step["why"]) == ("out_of_proven_range", want)
+    assert {key for key, _, _ in ROUTES} - {None} == set(solvers._DRIVERS)
+
+
+def _named_tables(driver):
+    """The seed tables a driver of the table names: a row's own, and
+    those of the rows a choice by the number of 1s holds."""
+    if isinstance(driver, solvers._Row):
+        return set(driver.table_ids)
+    named = set()
+    for arg in getattr(driver, "args", ()):
+        if isinstance(arg, dict):
+            for choice in arg.values():
+                named |= _named_tables(choice)
+    return named
+
+
+def test_driver_table_names_the_registered_tables():
+    # a misspelt id would otherwise raise only when a target reached its
+    # row; every table but the demo one is some row's seed source
+    named = set().union(*map(_named_tables, solvers._DRIVERS.values()))
+    assert named <= set(seeds.SEED_TABLES), named - set(seeds.SEED_TABLES)
+    assert set(seeds.SEED_TABLES) - named == {"demo"}
 
 
 def test_136_worked_example():
@@ -355,12 +397,12 @@ def test_replay_miss_names_a_broken_schedule():
     # the u123-main block-1 row subsumes 1^2 2^5 3, but its 1-grow
     # breaks the 2-point; without the stable row no entry is left
     ms = LengthMultiset.parse("1^2 2^5 3")
-    assert solvers._drive(ms, ("u123-main",)) == (
+    assert solvers._Row("u123-main")(ms) == (
         "out_of_proven_range",
         {"why": "fixed schedule broke on u123-main block1"},
         None,
     )
-    assert solvers._drive(ms, ("u145-a2",))[1] == {"why": "no subsuming seed"}
+    assert solvers._Row("u145-a2")(ms)[1] == {"why": "no subsuming seed"}
     assert solve(ms).trace[0][1]["table"] == "stable"
 
 
