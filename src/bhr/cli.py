@@ -356,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("multiset")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=200)
-    p.add_argument("--steps", type=int, default=2000)
+    stagnant = "restart after this many steps in a row without a gain"
+    p.add_argument("--steps", type=int, default=2000, help=stagnant)
 
     p = add("oracle", cmd_oracle, help="exhaustive search (definitive)")
     p.add_argument("multiset")
@@ -392,6 +393,9 @@ def main(argv=None) -> int:
         sys.stdout.flush()
     except (MultisetError, PathError, NotGrowableError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (MemoryError, OverflowError) as exc:
+        print(f"error: input too large: {type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         # the reader closed stdout: point it at devnull, so that the

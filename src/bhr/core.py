@@ -26,6 +26,7 @@ import json
 import re
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
+from math import isqrt
 from types import MappingProxyType
 
 
@@ -116,18 +117,10 @@ class LengthMultiset:
     def underlying_set(self) -> frozenset[int]:
         return frozenset(l for l, _ in self.items)
 
-    @property
-    def max_length(self) -> int:
-        return self.items[-1][0] if self.items else 0
-
     def add_copies(self, length: int, count: int) -> "LengthMultiset":
         counts = self.counts()
         counts[length] = counts.get(length, 0) + count
         return LengthMultiset.from_counts(counts)
-
-    def scale(self, factor: int) -> "LengthMultiset":
-        """Multiset with every length multiplied by factor."""
-        return LengthMultiset(tuple((l * factor, c) for l, c in self.items))
 
     def format(self) -> str:
         return " ".join(
@@ -158,9 +151,6 @@ class HamPath:
     @property
     def v(self) -> int:
         return len(self.vertices)
-
-    def reverse(self) -> "HamPath":
-        return HamPath(tuple(reversed(self.vertices)))
 
     def pairs(self):
         vs = self.vertices
@@ -227,31 +217,23 @@ def is_perfect(path: HamPath) -> bool:
     return path.vertices[0] == 0 and path.vertices[-1] == path.v - 1
 
 
-def divisors(n: int) -> list[int]:
-    result = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            result.append(d)
-            if d != n // d:
-                result.append(n // d)
-        d += 1
-    return sorted(result)
-
-
 def divisor_table(v: int, lengths) -> list[tuple[int, int, list[int]]]:
     """The divisor condition at order v over lengths, each at most v/2.
 
     One row (d, v - d, positions) per divisor d > 1 of v that divides
     some length, in increasing order of d; positions index the lengths
     that d divides.  A divisor that divides none bounds nothing, since
-    v - d >= 0.  A vector of counts aligned with lengths meets the
-    condition when no row is obstructed (see divisor_obstruction)."""
-    table = []
+    v - d >= 0, so the walk tries d up to min(longest, sqrt(v)) and
+    keeps d and v // d where each is at most the longest length.  A
+    vector of counts aligned with lengths meets the condition when no
+    row is obstructed (see divisor_obstruction)."""
     top = max(lengths)
-    for d in divisors(v)[1:]:
-        if d > top:
-            break
+    found = set()
+    for d in range(2, min(top, isqrt(v)) + 1):
+        if v % d == 0:
+            found.update(e for e in (d, v // d) if e <= top)
+    table = []
+    for d in sorted(found):
         pos = [i for i, l in enumerate(lengths) if l % d == 0]
         if pos:
             table.append((d, v - d, pos))
@@ -406,11 +388,6 @@ def _nested(value, sequence):
     if isinstance(value, (list, tuple)):
         return sequence(_nested(v, sequence) for v in value)
     return value
-
-
-def translate(seq, m: int) -> list[int]:
-    """Elementwise shift; a splice building block, not generally a HamPath."""
-    return [y + m for y in seq]
 
 
 @dataclass(frozen=True, slots=True)

@@ -45,7 +45,6 @@ from .core import (
     is_perfect,
     linear_diffs,
     trace_params,
-    translate,
     window_endpoints,
 )
 
@@ -256,7 +255,7 @@ def splice_perfect(cert: Certificate, k_real: HamPath) -> Certificate:
         raise NotGrowableError("k_real must be a perfect linear realization")
     k = k_real.v - 1
     m = cert.point_for(1).m
-    run = translate(k_real.vertices[1:], m)
+    run = [m + y for y in k_real.vertices[1:]]
     splice = ("splice", trace_params(k_real=k_real.vertices))
     # the k grown 1s are overwritten by K
     chain = _Chain(cert).step(
@@ -307,7 +306,7 @@ def even_grow(cert: Certificate, y: int, z: int) -> Certificate:
         list(range(2 * y, 2 * y + z - 1)),
         list(range(2 * y + z, 2 * y + 2 * z - 1)),
     )
-    runs = {m: translate(g[1:], m - 1), m - 1: translate(h[1:], m - 1)}
+    runs = {m: [m - 1 + e for e in g[1:]], m - 1: [m - 1 + e for e in h[1:]]}
     added = (
         {1: y + z - 4, y: y + 1, z: z + 1}
         if y != z
@@ -358,7 +357,7 @@ def perf_grow(cert: Certificate, x: int, parts) -> Certificate:
     m = cert.point_for(x).m
     lo = m + 1 - x
     runs = {
-        lo + t: translate([x * e for e in part.vertices[1:]], lo + t)
+        lo + t: [lo + t + x * e for e in part.vertices[1:]]
         for t, part in enumerate(parts)
     }
     added = {}

@@ -35,7 +35,9 @@ DEFAULT_DEFINITIVE_CAP = 12
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget and determinism knobs for the heuristic search."""
+    """Budget and determinism knobs for the heuristic search.
+    max_steps_per_restart is a stagnation budget, not a step cap: it
+    counts consecutive steps without a strict gain, reset by each gain."""
 
     rng_seed: int = 0
     max_restarts: int = 200
@@ -51,14 +53,6 @@ class SearchConfig:
 def _overlap(target: dict[int, int], realized: dict[int, int]) -> int:
     """|L intersect L'| as multisets."""
     return sum(min(c, realized.get(l, 0)) for l, c in target.items())
-
-
-def _length_counts(vertices: list[int], v: int) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for a, b in zip(vertices, vertices[1:]):
-        l = edge_length(a, b, v)
-        counts[l] = counts.get(l, 0) + 1
-    return counts
 
 
 def _reconnect(vertices: list[int], i: int, which: int) -> list[int]:
@@ -106,7 +100,7 @@ def local_search(
         rng = random.Random(f"{cfg.rng_seed}:{restart}")
         current = list(range(v))
         rng.shuffle(current)
-        counts = _length_counts(current, v)
+        counts = cyclic_lengths(HamPath.of(current)).counts()
         score = _overlap(target, counts)
         stagnant = 0
         steps = 0

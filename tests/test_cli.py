@@ -106,6 +106,24 @@ def test_grow_schedule_must_parse(capsys):
         assert out == "" and err == f"error: {why}\n", schedule
 
 
+def test_grow_too_large_for_memory_is_a_usage_error(capsys):
+    # 10^14 grows need far more memory than any machine has: the first
+    # allocation fails at once
+    code, out, err = run(
+        capsys, "grow", "--path", "[0,1,2,3]",
+        "--schedule", "1*99999999999999",
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: input too large: MemoryError\n"
+
+
+def test_solve_order_too_large_for_a_list_is_a_usage_error(capsys):
+    # admissible at once, but local_search cannot index 10^20 vertices
+    code, out, err = run(capsys, "solve", "1^99999999999999999999")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: input too large: OverflowError\n"
+
+
 def test_solve_json_roundtrips_through_verify(capsys):
     code, out, _ = run(capsys, "solve", "1 2^2 3^3", "--json")
     assert code == EXIT_OK

@@ -19,7 +19,6 @@ from bhr.core import (
     lengthened_pairs,
     linear_diffs,
     trace_params,
-    translate,
 )
 from bhr import core, growth, solvers
 from bhr.families import seed_for_residue
@@ -254,7 +253,8 @@ def _ref_runs_op(cert, x, k, runs, added, step):
     for t, repl in enumerate(runs):
         start = m + 1 - x + t
         vs = _ref_substitute(
-            vs, [start + j * x for j in range(k + 1)], translate(repl, start)
+            vs, [start + j * x for j in range(k + 1)],
+            [start + y for y in repl],
         )
     return _ref_certify(
         HamPath.of(vs), _plus(cert.multiset, added), grown.grow_points,
@@ -276,7 +276,9 @@ def _ref_x2x(cert, x, i):
 def _ref_perf_grow(cert, x, parts):
     added = LengthMultiset(())
     for p in parts:
-        added = _plus(added, linear_diffs(HamPath.of(p)).scale(x))
+        diffs = linear_diffs(HamPath.of(p)).items
+        scaled = LengthMultiset(tuple((x * l, c) for l, c in diffs))
+        added = _plus(added, scaled)
     return _ref_runs_op(
         cert, x, len(parts[0]) - 1, [[x * e for e in p] for p in parts],
         added, ("perf_grow", trace_params(x=x, parts=parts)),
@@ -289,7 +291,7 @@ def _ref_splice(cert, k_real):
     grown = _ref_grow(cert, 1, k)
     vs = _ref_substitute(
         list(grown.path.vertices), list(range(m, m + k + 1)),
-        translate(k_real, m),
+        [m + y for y in k_real],
     )
     path = HamPath.of(vs)
     cert2 = _ref_certify(
@@ -319,10 +321,11 @@ def _ref_even_grow(cert, y, z):
     )
     vs = list(grown.path.vertices)
     vs = _ref_substitute(
-        vs, list(range(m, m + 2 * y + 2 * z - 1, 2)), translate(g, m - 1)
+        vs, list(range(m, m + 2 * y + 2 * z - 1, 2)), [m - 1 + e for e in g]
     )
     vs = _ref_substitute(
-        vs, list(range(m - 1, m + 2 * y + 2 * z - 2, 2)), translate(h, m - 1)
+        vs, list(range(m - 1, m + 2 * y + 2 * z - 2, 2)),
+        [m - 1 + e for e in h],
     )
     path = HamPath.of(vs)
     added = LengthMultiset(())

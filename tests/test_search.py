@@ -7,7 +7,6 @@ from bhr.core import (
     Admissibility,
     LengthMultiset,
     MultisetError,
-    divisors,
     is_admissible,
     verify_realization,
 )
@@ -193,7 +192,7 @@ def _reference_is_admissible(ms):
     for length, _ in ms.items:
         if length > v // 2:
             return Admissibility(False, "oversized", length=length)
-    for d in divisors(v)[1:]:
+    for d in [d for d in range(2, v + 1) if v % d == 0]:
         count = sum(c for l, c in ms.items if l % d == 0)
         if count > v - d:
             return Admissibility(

@@ -1,6 +1,11 @@
-"""Print one sha256 per answer set, to check that a change keeps answers.
+"""Print one sha256 per answer set and check each against the digests
+checked in next to this script, in answer_digests.txt.
 
     python tools/answer_digest.py
+
+Exits 0 when every digest matches, else 1 after naming each set whose
+digest moved.  A change that alters answers on purpose updates
+answer_digests.txt with the digests it prints.
 
 The sets are every criterion-4 target through solve() (all admissible
 multisets over {1,2,3}, {1,4,5} and {1,2,3,4} with v <= 30), the
@@ -24,7 +29,9 @@ import hashlib
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+HERE = Path(__file__).resolve().parent
+EXPECTED = HERE / "answer_digests.txt"
+sys.path.insert(0, str(HERE.parent / "src"))
 
 from bhr.core import LengthMultiset  # noqa: E402
 from bhr.families import construct_1x  # noqa: E402
@@ -115,7 +122,18 @@ def families():
             yield repr(line).encode() + b"\n"
 
 
+def _expected() -> dict[str, str]:
+    """Set name -> checked-in digest, from lines "digest  name"."""
+    out = {}
+    for line in EXPECTED.read_text().splitlines():
+        digest, name = line.split(maxsplit=1)
+        out[name] = digest
+    return out
+
+
 def main() -> int:
+    expected = _expected()
+    moved = []
     for name, answers in (
         ("criterion-4 solve", criterion_4()),
         ("criterion-5 solve_1x2x", criterion_5()),
@@ -129,7 +147,11 @@ def main() -> int:
             digest.update(line)
             count += 1
         print(f"{digest.hexdigest()}  {count:6d}  {name}", flush=True)
-    return 0
+        if digest.hexdigest() != expected.get(name):
+            moved.append(name)
+    for name in moved:
+        print(f"digest moved: {name}", file=sys.stderr)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
