@@ -24,7 +24,6 @@ from .core import (
     cyclic_lengths,
     divisor_obstruction,
     divisor_table,
-    edge_length,
     is_admissible,
     trace_params,
 )
@@ -160,24 +159,33 @@ def brute_force(
 ) -> Certificate | None:
     """Exhaustive depth-first search for a realization of ms.
 
-    Prunes by the remaining count of each length; breaks the reversal
+    Prunes by the remaining count of each length, held in a list indexed
+    by length; a length above v/2 is never the length of an edge, so it
+    gets no slot and its copies can never be spent.  Breaks the reversal
     symmetry by keeping only paths with first vertex smaller than last.
     Translation classes are not quotiented yet, although y -> y+t and
-    y -> -y (mod v) keep every length.  Returns a Certificate, or None
-    -- and None is definitive: ms has no realization.  Does not require
-    admissibility, so it also serves as the necessity-direction oracle.
-    Raises ValueError for an order above cap or past the depth the
-    recursion limit lets the search reach.
+    y -> -y (mod v) keep every length.  Lengths in the search are
+    computed without range checks on its own distinct vertices in
+    range(v); the final Certificate check is what guards a found path.
+    Returns a Certificate, or None -- and None is definitive: ms has no
+    realization.  Does not require admissibility, so it also serves as
+    the necessity-direction oracle.  Raises ValueError for an order
+    above cap or past the depth the recursion limit lets the search
+    reach.
     """
     cap = DEFAULT_BRUTE_CAP if cap is None else cap
     v = ms.v
     if v > cap:
         raise ValueError(f"v={v} exceeds brute-force cap {cap}")
-    # extend() nests v + 1 deep; its edge_length call and that call's
-    # comparison count two more
+    # extend() nests v + 1 deep, and the min() call at depth v and its
+    # comparison reach v + 2; one more frame is kept spare
     if v + 3 > _frames_left():
         raise ValueError(f"v={v} exceeds the recursion limit of brute_force")
-    remaining = ms.counts()
+    half = v // 2
+    remaining = [0] * (half + 1)
+    for l, c in ms.items:
+        if l <= half:
+            remaining[l] = c
     path: list[int] = []
     used = [False] * v
 
@@ -189,8 +197,9 @@ def brute_force(
             if used[w]:
                 continue
             if path:
-                l = edge_length(path[-1], w, v)
-                if not remaining.get(l, 0):
+                d = abs(path[-1] - w)
+                l = min(d, v - d)
+                if not remaining[l]:
                     continue
                 remaining[l] -= 1
             used[w] = True

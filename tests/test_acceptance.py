@@ -16,7 +16,13 @@ from bhr.core import (
 )
 from bhr.families import construct_1x
 from bhr.growth import grow, splice_perfect, x2x_swap
-from bhr.search import SearchConfig, brute_force, enumerate_admissible, sweep
+from bhr.search import (
+    DEFAULT_DEFINITIVE_CAP,
+    SearchConfig,
+    brute_force,
+    enumerate_admissible,
+    sweep,
+)
 from bhr.solvers import hr_bound, solve, solve_1x2x
 from conftest import seed_row
 
@@ -193,10 +199,12 @@ def test_criterion_6_conjecture_sweep():
     unrealizable = sum(r["unrealizable"] for r in rows)
     unknown = sum(r["unknown"] for r in rows)
 
-    # necessity: no inadmissible multiset at v <= 10 has a realization
+    # necessity: no inadmissible multiset at v <= 12, the definitive cap,
+    # has a realization (order 11 is prime with lengths <= 5, so it has
+    # none to refute)
     refuted = 0
     problems = []
-    for v in range(2, 11):
+    for v in range(2, DEFAULT_DEFINITIVE_CAP + 1):
         for counts in _count_vectors(v - 1, v // 2):
             ms = LengthMultiset.from_counts(
                 {x: n for x, n in counts.items() if n}
@@ -218,7 +226,8 @@ def test_criterion_6_conjecture_sweep():
     _report(
         6,
         ok,
-        f"v<=11 sweep clean, {refuted} inadmissible refuted, "
+        f"v<=11 sweep clean, {refuted} inadmissible refuted at "
+        f"v<={DEFAULT_DEFINITIVE_CAP}, "
         f"{elapsed:.1f}s, bad={problems[:3]}",
     )
 

@@ -7,6 +7,7 @@ from bhr.core import (
     Admissibility,
     LengthMultiset,
     MultisetError,
+    edge_length,
     is_admissible,
     verify_realization,
 )
@@ -159,6 +160,59 @@ def test_brute_force_refuses_orders_beyond_the_recursion_limit():
         brute_force(ms, cap=v)
     # a deep but reachable order still runs
     assert brute_force(LengthMultiset.parse("1^300"), cap=301) is not None
+
+
+def _reference_brute_force(ms):
+    """The exhaustive search with every step range-checked: each length
+    from edge_length, the remaining counts in a dict keyed by length.
+    Same vertex order and reversal rule; returns the path or None."""
+    v = ms.v
+    remaining = ms.counts()
+    path = []
+    used = [False] * v
+
+    def extend():
+        if len(path) == v:
+            return v == 1 or path[0] < path[-1]
+        for w in range(v):
+            if used[w]:
+                continue
+            if path:
+                l = edge_length(path[-1], w, v)
+                if not remaining.get(l, 0):
+                    continue
+                remaining[l] -= 1
+            used[w] = True
+            path.append(w)
+            if extend():
+                return True
+            path.pop()
+            used[w] = False
+            if path:
+                remaining[l] += 1
+        return False
+
+    return tuple(path) if extend() else None
+
+
+def test_brute_force_matches_reference():
+    # every multiset of order 2..9 with lengths up to v/2, the empty
+    # multiset, and three with a length over v/2, which no edge has
+    cases = [LengthMultiset(())] + [
+        LengthMultiset.parse(text) for text in ("3^2", "1 5", "2 4^3")
+    ]
+    for v in range(2, 10):
+        lengths = range(1, v // 2 + 1)
+        for vec in _count_vectors(v - 1, len(lengths)):
+            cases.append(LengthMultiset.from_counts(dict(zip(lengths, vec))))
+    outcomes = {"path": 0, "none": 0}
+    for ms in cases:
+        want = _reference_brute_force(ms)
+        cert = brute_force(ms)
+        got = None if cert is None else cert.path.vertices
+        assert got == want, ms.format() if ms.items else "empty"
+        outcomes["none" if want is None else "path"] += 1
+    assert outcomes == {"path": 322, "none": 27}, outcomes
 
 
 def test_enumerate_admissible_small():

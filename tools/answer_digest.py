@@ -18,9 +18,11 @@ The fifth set is every closed-form family seed construct_1x(x, b) for
 x = 4..50 and b = x+1..2x.  Each answer is hashed as the repr of
 (target, status, outcome trace, path, grow points, multiset items,
 certificate trace in to_dict form), one line per target; a family seed
-has no status or outcome trace.  So two checkouts that print the same
-digests gave the same answers.  The criterion-4 set takes about as long
-as criterion 4 itself.
+has no status or outcome trace.  The sixth set is the exhaustive oracle
+brute_force on every multiset of order 2..11 with lengths <= v/2, one
+line (multiset items, path or None) each.  So two checkouts that print
+the same digests gave the same answers.  The criterion-4 set takes about
+as long as criterion 4 itself.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 from bhr.core import LengthMultiset  # noqa: E402
 from bhr.families import construct_1x  # noqa: E402
-from bhr.search import enumerate_admissible  # noqa: E402
+from bhr.search import brute_force, enumerate_admissible  # noqa: E402
 from bhr.solvers import solve, solve_136, solve_1x2x  # noqa: E402
 
 
@@ -122,6 +124,27 @@ def families():
             yield repr(line).encode() + b"\n"
 
 
+def _count_vectors(total, parts):
+    """Every vector of parts counts summing to total, in lexicographic
+    order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for c in range(total + 1):
+        for rest in _count_vectors(total - c, parts - 1):
+            yield (c, *rest)
+
+
+def oracle():
+    for v in range(2, 12):
+        lengths = range(1, v // 2 + 1)
+        for vec in _count_vectors(v - 1, len(lengths)):
+            ms = LengthMultiset.from_counts(dict(zip(lengths, vec)))
+            cert = brute_force(ms)
+            line = (ms.items, None if cert is None else cert.path.vertices)
+            yield repr(line).encode() + b"\n"
+
+
 def _expected() -> dict[str, str]:
     """Set name -> checked-in digest, from lines "digest  name"."""
     out = {}
@@ -140,6 +163,7 @@ def main() -> int:
         ("solve_136 grid", grid_136()),
         ("solve() routes, fallback off and on", routes()),
         ("families construct_1x", families()),
+        ("brute_force order <= 11", oracle()),
     ):
         digest = hashlib.sha256()
         count = 0
