@@ -217,6 +217,16 @@ def is_perfect(path: HamPath) -> bool:
     return path.vertices[0] == 0 and path.vertices[-1] == path.v - 1
 
 
+def alternating_runs(first, n: int, step: int) -> list[int]:
+    """The n runs first + p*step (elementwise, p = 0..n-1), joined, with
+    each odd-indexed run reversed."""
+    out = []
+    for p in range(n):
+        run = [a + p * step for a in first]
+        out += run if p % 2 == 0 else run[::-1]
+    return out
+
+
 def divisor_table(v: int, lengths) -> list[tuple[int, int, list[int]]]:
     """The divisor condition at order v over lengths, each at most v/2.
 

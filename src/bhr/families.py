@@ -6,6 +6,10 @@ Together these supply, for any x >= 4, a growable seed whose number of
 x's hits every residue class mod x, which is what the general
 {1, x, 2x} solver needs.  construct_1x(x, b) is the one entry point: it
 checks x and b, and its branch builders trust them.
+
+Each construction is a few fixed labels joined to chains of alternating
+runs (core.alternating_runs): pairs or triples stepped by +-1, every
+other one reversed.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .core import (
     GrowPoint,
     HamPath,
     LengthMultiset,
+    alternating_runs,
     trace_params,
 )
 
@@ -55,15 +60,11 @@ def _basic(x: int, b: int) -> Certificate:
     if b == x + 1:
         if x % 2 == 0:
             seq = [1, x + 1, 0, 2 * x, x]
-            for j in range(1, x - 1):
-                pair = [x - j, 2 * x - j]
-                seq += pair if j % 2 else pair[::-1]
+            seq += alternating_runs((x - 1, 2 * x - 1), x - 2, -1)
             points = [(1, 1), (x, x)]
         else:
             seq = [x, x + 1, 1, 0, 2 * x, x - 1, 2 * x - 1]
-            for j in range(2, x - 1):
-                pair = [x - j, 2 * x - j]
-                seq += pair if j % 2 == 0 else pair[::-1]
+            seq += alternating_runs((x - 2, 2 * x - 2), x - 3, -1)
             # the x-grow point is x, not x-1: at m = x-1 both endpoints
             # of the wrap edge (0, 2x) land in the window
             points = [(1, 2 * x - 1), (x, x)]
@@ -71,23 +72,16 @@ def _basic(x: int, b: int) -> Certificate:
     elif b == x + 2:
         if x % 2 == 0:
             seq = [x, 2 * x, 0, x + 1, 1, x + 2, 2]
-            for j in range(3, x):
-                pair = [j, x + j]
-                seq += pair if j % 2 else pair[::-1]
+            seq += alternating_runs((3, x + 3), x - 3, 1)
             points = [(1, 1), (x, x)]
         else:
             seq = [0, x, x - 1, 2 * x, 2 * x - 1, x - 2, 2 * x - 2]
-            for j in range(3, x):
-                pair = [x - j, 2 * x - j]
-                seq += pair if j % 2 else pair[::-1]
+            seq += alternating_runs((x - 3, 2 * x - 3), x - 3, -1)
             points = [(1, 2 * x - 2), (x, x - 1)]
         counts = {1: x - 2, x: x + 2}
     else:  # b == 2x
         if x % 2 == 0:
-            seq = []
-            for j in range(0, x - 3):
-                triple = [j, x + j, 2 * x + j]
-                seq += triple if j % 2 == 0 else triple[::-1]
+            seq = alternating_runs((0, x, 2 * x), x - 3, 1)
             seq += [x - 3, 2 * x - 3, 2 * x - 2, x - 2,
                     3 * x - 3, 3 * x - 2, x - 1, 2 * x - 1]
             # 1-growable at 3x-4, not 3x-3: at m = 3x-3 the edge to
@@ -95,32 +89,11 @@ def _basic(x: int, b: int) -> Certificate:
             points = [(1, 3 * x - 4), (x, x - 1)]
         else:
             seq = [3 * x - 2, x - 1, 2 * x - 1]
-            for j in range(0, x - 3):
-                triple = [j, x + j, 2 * x + j]
-                seq += triple[::-1] if j % 2 == 0 else triple
+            seq += alternating_runs((2 * x, x, 0), x - 3, 1)
             seq += [x - 3, 2 * x - 3, 2 * x - 2, x - 2, 3 * x - 3]
             points = [(1, 3 * x - 4), (x, x)]
         counts = {1: x - 2, x: 2 * x}
     return _cert(seq, counts, points)
-
-
-def _pairs(a0, b0, n):
-    """n pairs (a0 + p, b0 + p); odd-indexed pairs are reversed."""
-    seq = []
-    for p in range(n):
-        pair = [a0 + p, b0 + p]
-        seq += pair if p % 2 == 0 else pair[::-1]
-    return seq
-
-
-def _triples(first, n):
-    """n descending triples stepping down by 1, odd ones reversed."""
-    a, b, c = first
-    seq = []
-    for q in range(n):
-        triple = [a - q, b - q, c - q]
-        seq += triple if q % 2 == 0 else triple[::-1]
-    return seq
 
 
 def _even(x: int, b: int) -> Certificate:
@@ -128,23 +101,22 @@ def _even(x: int, b: int) -> Certificate:
     r, s = _params(x, b)
     if b % 2 == 1:
         # pairs, then triples, then a two-edge closer; v = 6r+4s+10
-        seq = _pairs(2 * r + 1, 4 * r + 2 * s + 5, 2 * s + 2)
-        seq += _triples(
-            (6 * r + 4 * s + 8, 4 * r + 2 * s + 4, 2 * r), 2 * r + 1
+        seq = alternating_runs((2 * r + 1, 4 * r + 2 * s + 5), 2 * s + 2, 1)
+        seq += alternating_runs(
+            (6 * r + 4 * s + 8, 4 * r + 2 * s + 4, 2 * r), 2 * r + 1, -1
         )
         seq += [6 * r + 4 * s + 9, 2 * r + 2 * s + 3, 4 * r + 4 * s + 7]
         v = 6 * r + 4 * s + 10
         points = [(1, v - 2), (x, x - 1)]
     else:
         # pairs, a fixed 10-element middle, then triples; v = 6r+4s+15
-        seq = _pairs(4 * r + 2 * s + 11, 2 * r + 5, 2 * s + 1)
+        seq = alternating_runs((4 * r + 2 * s + 11, 2 * r + 5), 2 * s + 1, 1)
         seq += [2 * r + 2 * s + 6, 4 * r + 4 * s + 12,
                 4 * r + 4 * s + 13, 2 * r + 2 * s + 7, 1,
                 4 * r + 2 * s + 10, 2 * r + 4, 2 * r + 3,
                 4 * r + 2 * s + 9, 0]
-        seq += _triples(
-            (6 * r + 4 * s + 14, 4 * r + 2 * s + 8, 2 * r + 2),
-            2 * r + 1,
+        seq += alternating_runs(
+            (6 * r + 4 * s + 14, 4 * r + 2 * s + 8, 2 * r + 2), 2 * r + 1, -1
         )
         points = [(1, 1), (x, x)]
     return _cert(seq, {1: x - 2, x: b}, points)
@@ -153,8 +125,8 @@ def _even(x: int, b: int) -> Certificate:
 def _odd(x: int, b: int) -> Certificate:
     """{1^(x-2), x^b} for odd x >= 5 and x+3 <= b <= 2x-1."""
     r, s = _params(x, b)
-    triples = _triples(
-        (6 * r + 4 * s + 10, 4 * r + 2 * s + 5, 2 * r), 2 * r + 1
+    triples = alternating_runs(
+        (6 * r + 4 * s + 10, 4 * r + 2 * s + 5, 2 * r), 2 * r + 1, -1
     )
     if b % 2 == 1:
         # triples, a six-element middle, then pairs; v = 6r+4s+13
@@ -162,11 +134,11 @@ def _odd(x: int, b: int) -> Certificate:
         seq += [6 * r + 4 * s + 12, 2 * r + 2 * s + 4,
                 4 * r + 4 * s + 9, 4 * r + 4 * s + 8,
                 2 * r + 2 * s + 3, 6 * r + 4 * s + 11]
-        seq += _pairs(4 * r + 2 * s + 6, 2 * r + 1, 2 * s + 2)
+        seq += alternating_runs((4 * r + 2 * s + 6, 2 * r + 1), 2 * s + 2, 1)
         v = 6 * r + 4 * s + 13
     else:
         # pairs, the same triples, then a two-edge closer; v = 6r+4s+12
-        seq = _pairs(4 * r + 2 * s + 6, 2 * r + 1, 2 * s + 3)
+        seq = alternating_runs((4 * r + 2 * s + 6, 2 * r + 1), 2 * s + 3, 1)
         seq += triples
         seq += [6 * r + 4 * s + 11, 2 * r + 2 * s + 4, 4 * r + 4 * s + 9]
         v = 6 * r + 4 * s + 12
@@ -196,8 +168,10 @@ def seed_for_residue(x: int, residue: int) -> Certificate:
     b' runs over x+1 .. 2x, so every residue is reachable; a' = x-2
     except for residue 1, where admissibility forces a' = x-1.  Each
     argument pair builds and checks its seed once: a Certificate and
-    its trace are read-only, so every answer may share it.
-    construct_1x refuses x < 4.
+    its trace are read-only, so every answer may share it.  x < 4 is
+    refused with construct_1x's ValueError, before residue is reduced.
     """
+    if x < 4:
+        raise ValueError("x must be at least 4")
     residue %= x
     return construct_1x(x, 2 * x if residue == 0 else x + residue)

@@ -6,8 +6,8 @@ into the arithmetic run w, w+x, ..., w+kx, so a k-fold grow costs
 O(v + kx), not k rebuilds of the path.  _grown_vertices is the one run
 builder: x2x_swap, perf_grow, splice_perfect and even_grow hand it the
 runs they want in place of the arithmetic ones (k x/2x swaps at one
-point, perfect parts, the even zigzags), so each of them is one pass
-too, however many swaps or grows it stands for.
+point, perfect parts, even_grow's alternating runs), so each of them is
+one pass too, however many swaps or grows it stands for.
 
 Growability is evaluated once per step for its own point:
 _grown_vertices asks core.window_endpoints, which both decides that
@@ -40,6 +40,7 @@ from .core import (
     LengthMultiset,
     NotGrowableError,
     PathError,
+    alternating_runs,
     embed,
     growth_points,
     is_perfect,
@@ -266,28 +267,15 @@ def splice_perfect(cert: Certificate, k_real: HamPath) -> Certificate:
     return chain.certify("splice_perfect", tuple(growth_points(chain.path)))
 
 
-def _zigzag(lows: list[int], highs: list[int]) -> list[int]:
-    """Interleave [l0,H0,H1,l1, l2,H2,H3,l3, ...] ending [l_last, H_last].
-
-    Requires an odd number of lows (= highs); consecutive low pairs give
-    difference-1 edges, low/high hops give the long edges.
-    """
-    n = len(lows)
-    assert n == len(highs) and n % 2 == 1
-    out = []
-    for j in range(0, n - 1, 2):
-        out += [lows[j], highs[j], highs[j + 1], lows[j + 1]]
-    out += [lows[n - 1], highs[n - 1]]
-    return out
-
-
 def even_grow(cert: Certificate, y: int, z: int) -> Certificate:
     """From a 2-growable realization of L, realize
     L + {1^(y+z-4), y^(y+1), z^(z+1)} for even y, z >= 4.
 
     Grows 2s until two interleaved arithmetic runs cover the new labels,
-    then rewrites the runs with two explicit sequences whose lengths are
-    {1^(y-2), y^(y-1), z^2} and {1^(z-2), y^2, z^(z-1)}.  The result is
+    then rewrites the runs with two sequences whose lengths are
+    {1^(y-2), y^(y-1), z^2} and {1^(z-2), y^2, z^(z-1)}: each is a chain
+    of y-1 or z-1 alternating pairs (core.alternating_runs) that starts
+    or ends with two fixed labels.  The result is
     y-growable at m+y-1 and z-growable at m+2y+z-2: these two points
     are declared, so the Certificate raises if one fails.  The input's
     points (the consumed 2-point included) are relocated and carried,
@@ -300,12 +288,9 @@ def even_grow(cert: Certificate, y: int, z: int) -> Certificate:
     m = cert.point_for(2).m
     k = y + z - 1
     # the runs from m and from m - 1, as offsets from m - 1
-    g = _zigzag(list(range(1, y)), list(range(y + 1, 2 * y)))
+    g = alternating_runs((1, y + 1), y - 1, 1)
     g += [2 * y + z - 1, 2 * y + 2 * z - 1]
-    h = [0, y] + _zigzag(
-        list(range(2 * y, 2 * y + z - 1)),
-        list(range(2 * y + z, 2 * y + 2 * z - 1)),
-    )
+    h = [0, y] + alternating_runs((2 * y, 2 * y + z), z - 1, 1)
     runs = {m: [m - 1 + e for e in g[1:]], m - 1: [m - 1 + e for e in h[1:]]}
     added = (
         {1: y + z - 4, y: y + 1, z: z + 1}

@@ -12,6 +12,7 @@ from bhr.core import (
     MultisetError,
     NotGrowableError,
     PathError,
+    alternating_runs,
     certificate,
     cyclic_lengths,
     edge_length,
@@ -105,6 +106,16 @@ def test_linear_diffs_and_perfect():
     assert is_perfect(q)
     assert not is_perfect(HamPath.of([1, 0, 2]))
     assert is_perfect(HamPath.of([0, 2, 1, 3]))
+
+
+def test_alternating_runs():
+    assert alternating_runs((1, 5), 0, 1) == []
+    assert alternating_runs((1, 5), 3, 1) == [1, 5, 6, 2, 3, 7]
+    assert alternating_runs((9, 5, 1), 3, -1) == [
+        9, 5, 1, 0, 4, 8, 7, 3, -1,
+    ]
+    # an even count ends on a reversed run
+    assert alternating_runs((0, 4), 4, 1) == [0, 4, 5, 1, 2, 6, 7, 3]
 
 
 def test_admissibility_ok():

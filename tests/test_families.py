@@ -48,6 +48,9 @@ def test_basic_rejects_bad_args():
     for b in (8, 17):
         with pytest.raises(ValueError, match=f"b={b} outside range 9..16"):
             construct_1x(8, b)
+    for x in (0, 3):
+        with pytest.raises(ValueError, match="x must be at least 4"):
+            seed_for_residue(x, 1)
 
 
 def test_even_lemma_fixtures():
