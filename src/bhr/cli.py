@@ -61,7 +61,8 @@ def _json_path(data) -> HamPath:
 def _load_json(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays nested deeper than the decoder recurses
         raise PathError(f"malformed {what} JSON: {exc}") from exc
 
 

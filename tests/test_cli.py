@@ -328,6 +328,23 @@ def test_path_json_rejects_bools(capsys):
 G1 = "[6, 5, 1, 4, 0, 3, 2]"
 
 
+def test_deeply_nested_json_is_malformed(capsys, tmp_path):
+    # json.loads recurses once per level and gives up past the limit
+    deep = "[" * 5000 + "]" * 5000
+    parts = tmp_path / "parts.json"
+    parts.write_text(deep)
+    for argv, what in (
+        (("verify", "--path", deep, "--multiset", "1"), "path"),
+        (("splice", "--path", G1, "--kpath", deep), "path"),
+        (("perf-grow", "--path", G1, "--x", "3", "--parts", str(parts)),
+         "parts"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith(f"error: malformed {what} JSON")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_perf_grow_missing_parts_file(capsys, tmp_path):
     missing = tmp_path / "missing.json"
     code, out, err = run(

@@ -43,7 +43,7 @@ def test_table_ids():
 
 def test_repeated_table_id_raises():
     with pytest.raises(ValueError, match="demo registered twice"):
-        seeds._entries("demo", (1,), tuple, [])
+        seeds._entries("demo", [])
     assert len(seeds.table("demo")) == 2
 
 

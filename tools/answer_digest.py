@@ -20,9 +20,12 @@ x = 4..50 and b = x+1..2x.  Each answer is hashed as the repr of
 certificate trace in to_dict form), one line per target; a family seed
 has no status or outcome trace.  The sixth set is the exhaustive oracle
 brute_force on every multiset of order 2..11 with lengths <= v/2, one
-line (multiset items, path or None) each.  So two checkouts that print
-the same digests gave the same answers.  The criterion-4 set takes about
-as long as criterion 4 itself.
+line (multiset items, path or None) each.  The seventh set is the seed
+tables: one line (table id, variant, multiset items, path, declared
+grow points) per iter_seeds() entry, in registry order.  So two
+checkouts that print the same digests gave the same answers from the
+same seeds.  The criterion-4 set takes about as long as criterion 4
+itself.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 from bhr.core import LengthMultiset  # noqa: E402
 from bhr.families import construct_1x  # noqa: E402
 from bhr.search import brute_force, enumerate_admissible  # noqa: E402
+from bhr.seeds import iter_seeds  # noqa: E402
 from bhr.solvers import solve, solve_136, solve_1x2x  # noqa: E402
 
 
@@ -145,6 +149,15 @@ def oracle():
             yield repr(line).encode() + b"\n"
 
 
+def seed_tables():
+    for e in iter_seeds():
+        points = tuple((gp.x, gp.m) for gp in e.declared_grow_points)
+        line = (
+            e.table_id, e.variant, e.multiset.items, e.path.vertices, points
+        )
+        yield repr(line).encode() + b"\n"
+
+
 def _expected() -> dict[str, str]:
     """Set name -> checked-in digest, from lines "digest  name"."""
     out = {}
@@ -164,6 +177,7 @@ def main() -> int:
         ("solve() routes, fallback off and on", routes()),
         ("families construct_1x", families()),
         ("brute_force order <= 11", oracle()),
+        ("seed tables", seed_tables()),
     ):
         digest = hashlib.sha256()
         count = 0

@@ -12,9 +12,9 @@ base, the least multiset from which grows at the family's x values
 reach every member, under SearchConfig seeds 0, 1, 2, ..., takes one
 grow point per x the family varies from growth_points, and keeps the
 first choice that survives every schedule with counts below LIMIT (12,
-as in tests/test_seeds.py).  It prints that realization as a row in the
-form of the `stable` table (columns 1..5), with the seed and CPU time it
-took.
+as in tests/test_seeds.py).  It prints that realization as a row of the
+`stable` table, (multiset, path, points, name), with the seed and CPU
+time it took.
 
 Every step is deterministic, so two runs print the same rows.  Stdlib
 only.
@@ -38,7 +38,6 @@ from bhr.core import (  # noqa: E402
 from bhr.growth import GrowthSchedule, multi_grow  # noqa: E402
 from bhr.search import SearchConfig, local_search  # noqa: E402
 
-COLUMNS = (1, 2, 3, 4, 5)
 LIMIT = 12
 SEARCH_SEEDS = range(60)
 
@@ -91,16 +90,10 @@ def find(base: str, xs):
 
 
 def row(name: str, cert: Certificate) -> str:
-    """cert as a row of the `stable` table: (None, path, counts, points,
-    name)."""
-    counts = tuple(cert.multiset.multiplicity(x) for x in COLUMNS)
-    at = {gp.x: gp.m for gp in cert.grow_points}
-    points = tuple(at.get(x) for x in COLUMNS)
-    return (
-        f"(None, {cert.path.vertices},\n"
-        f" {counts},\n"
-        f" {points}, {name!r}),"
-    )
+    """cert as a row of the `stable` table: (multiset, path, points,
+    name), the points {x: m} in ascending x."""
+    points = dict(sorted((gp.x, gp.m) for gp in cert.grow_points))
+    return f'("{cert.multiset}", {cert.path.vertices}, {points}, "{name}"),'
 
 
 def main() -> int:
