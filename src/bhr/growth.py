@@ -4,10 +4,11 @@ Operations work on raw vertex lists and build the result path in one
 pass.  Growing k times at one point (x, m) turns every window endpoint w
 into the arithmetic run w, w+x, ..., w+kx, so a k-fold grow costs
 O(v + kx), not k rebuilds of the path.  _grown_vertices is the one run
-builder: x2x_swap, perf_grow, splice_perfect and even_grow hand it the
-runs they want in place of the arithmetic ones (k x/2x swaps at one
-point, perfect parts, even_grow's alternating runs), so each of them is
-one pass too, however many swaps or grows it stands for.
+builder, and _Chain.step hands it runs to insert in place of the
+arithmetic ones.  _Chain.perfect makes them from x perfect parts: those
+of perf_grow, those of k x/2x swaps, or splice_perfect's one part at
+x = 1.  even_grow hands _Chain.step its alternating runs itself.  So
+each operation is one pass, however many swaps or grows it stands for.
 
 Growability is evaluated once per step for its own point:
 _grown_vertices asks core.window_endpoints, which both decides that
@@ -44,7 +45,6 @@ from .core import (
     embed,
     growth_points,
     is_perfect,
-    linear_diffs,
     trace_params,
     window_endpoints,
 )
@@ -190,18 +190,29 @@ class _Chain:
                 ) from exc
         return self
 
+    def perfect(self, x, m, parts, trace) -> "_Chain":
+        """k grows at (x, m), then the run from w = m + 1 - x + t
+        overwritten by w + x*part[1:] for the t-th of x perfect parts of
+        size k; each part adds x times its differences."""
+        runs, added = {}, {}
+        for w, part in enumerate(parts, m + 1 - x):
+            runs[w] = [w + x * e for e in part[1:]]
+            for a, b in zip(part, part[1:]):
+                length = x * abs(b - a)
+                added[length] = added.get(length, 0) + 1
+        return self.step(x, m, len(parts[0]) - 1, added, trace, runs)
+
     def swap(self, x: int, i: int, k: int) -> "_Chain":
         """k x/2x swaps at the tracked x-point; see x2x_swap."""
         if not (0 <= i <= x):
             raise NotGrowableError(f"i={i} out of range 0..{x}")
+        if k < 0:
+            raise ValueError(f"swap count k={k} must be nonnegative")
         m = self.point_for(x).m
-        runs = {
-            w: [w + (j + d) * x for j in range(0, 3 * k, 3) for d in (2, 1, 3)]
-            for w in range(m + 1 - x, m + 1 - x + i)
-        }
-        added = {x: k * (3 * x - 2 * i), 2 * x: k * 2 * i}
+        swapped = [0] + [3 * j + d for j in range(k) for d in (2, 1, 3)]
+        parts = [swapped] * i + [range(3 * k + 1)] * (x - i)
         swap = _grow_steps(x, m, 3) + (("x2x_swap", trace_params(x=x, i=i)),)
-        return self.step(x, m, 3 * k, added, swap * k, runs)
+        return self.perfect(x, m, parts, swap * k)
 
     def certify(self, op: str, declared=()) -> Certificate:
         """The one check of the chain: the Certificate verifies the path
@@ -249,20 +260,15 @@ def multi_grow(cert: Certificate, schedule: GrowthSchedule) -> Certificate:
 def splice_perfect(cert: Certificate, k_real: HamPath) -> Certificate:
     """Grow a 1-run of |K| new labels and overwrite it with a translate
     of a perfect linear realization of K.  Realizes L with K merged in.
-
-    Grow points of the result are re-derived by a full scan.
+    This is perf_grow(cert, 1, [k_real]), traced as a splice, and the
+    result's grow points are re-derived by a full scan.
     """
     if not is_perfect(k_real):
         raise NotGrowableError("k_real must be a perfect linear realization")
-    k = k_real.v - 1
     m = cert.point_for(1).m
-    run = [m + y for y in k_real.vertices[1:]]
     splice = ("splice", trace_params(k_real=k_real.vertices))
-    # the k grown 1s are overwritten by K
-    chain = _Chain(cert).step(
-        1, m, k, dict(linear_diffs(k_real).items),
-        _grow_steps(1, m, k) + (splice,), {m: run},
-    )
+    trace = _grow_steps(1, m, k_real.v - 1) + (splice,)
+    chain = _Chain(cert).perfect(1, m, [k_real.vertices], trace)
     chain.grow_points = ()  # rescanned in full instead
     return chain.certify("splice_perfect", tuple(growth_points(chain.path)))
 
@@ -313,11 +319,11 @@ def x2x_swap(cert: Certificate, x: int, i: int, k: int = 1) -> Certificate:
     The runs start at w = m+1-x, ..., m; the i runs with the smallest
     starting labels are swapped, which makes the operation deterministic.
 
-    Swapping again at m lengthens the edge leaving w, so k swaps put k
-    blocks w+(3j+2)x, w+(3j+1)x, w+(3j+3)x (j = 0..k-1) after each
-    swapped w and the plain run w+x, ..., w+3kx after the others.  All
-    3k grows are built in one pass, and the result (path, grow points,
-    multiset and trace) equals k single swaps.
+    Swapping again at m lengthens the edge leaving w, so k swaps are a
+    perf_grow: i parts (0, 2, 1, 3, 5, 4, 6, ..., 3k) and x - i plain
+    parts (0, 1, ..., 3k).  All 3k grows are built in one pass, and the
+    result (path, grow points, multiset and trace) equals k single
+    swaps.  k = 0 returns the input's path and trace; k < 0 raises.
     """
     return _Chain(cert).swap(x, i, k).certify("x2x_swap")
 
@@ -326,7 +332,8 @@ def perf_grow(cert: Certificate, x: int, parts) -> Certificate:
     """Generalized swap: grow k times at x, then overwrite the t-th
     arithmetic run with the x-scaled translate of the t-th perfect
     linear realization.  Realizes L + x*L_1 + ... + x*L_x where L_t is
-    the difference multiset of part t (each of size k).
+    the difference multiset of part t (each of size k).  x2x_swap and
+    splice_perfect are cases of it: see _Chain.perfect.
     """
     if x < 1:
         raise NotGrowableError(f"x must be positive, got {x}")
@@ -340,15 +347,7 @@ def perf_grow(cert: Certificate, x: int, parts) -> Certificate:
         if not is_perfect(p):
             raise NotGrowableError(f"part {list(p.vertices)} is not perfect")
     m = cert.point_for(x).m
-    lo = m + 1 - x
-    runs = {
-        lo + t: [lo + t + x * e for e in part.vertices[1:]]
-        for t, part in enumerate(parts)
-    }
-    added = {}
-    for part in parts:
-        for length, count in linear_diffs(part).items:
-            added[x * length] = added.get(x * length, 0) + count
-    step = ("perf_grow", trace_params(x=x, parts=[p.vertices for p in parts]))
-    trace = _grow_steps(x, m, k) + (step,)
-    return _Chain(cert).step(x, m, k, added, trace, runs).certify("perf_grow")
+    parts = [p.vertices for p in parts]
+    step = ("perf_grow", trace_params(x=x, parts=parts))
+    chain = _Chain(cert).perfect(x, m, parts, _grow_steps(x, m, k) + (step,))
+    return chain.certify("perf_grow")

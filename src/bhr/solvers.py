@@ -189,8 +189,7 @@ def _swap_plan(seed_counts, target, x):
     if a < a1 or c < c1 or (c - c1) % 2:
         return None
     i = ((c - c1) // 2) % x
-    partial_c = 2 * i if i else 0
-    rest = c - c1 - partial_c
+    rest = c - c1 - 2 * i
     if rest < 0 or rest % (2 * x):
         return None
     full = rest // (2 * x)

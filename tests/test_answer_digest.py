@@ -1,8 +1,8 @@
-"""The three fast sets of tools/answer_digest.py, hashed here and
+"""The four fast sets of tools/answer_digest.py, hashed here and
 compared with the digests checked in beside it.  Every family seed
 construct_1x(x, b) with x <= 50, every brute_force answer of order
-<= 11 and every seed-table row is pinned this way, so a path that moves
-anywhere fails."""
+<= 11, every seed-table row and the growth operations on every seed row
+are pinned this way, so a path that moves anywhere fails."""
 
 import hashlib
 
@@ -17,6 +17,7 @@ from conftest import load_tool
         ("families construct_1x", "families"),
         ("brute_force order <= 11", "oracle"),
         ("seed tables", "seed_tables"),
+        ("growth operations", "growth_operations"),
     ],
 )
 def test_answer_set_matches_checked_in_digest(name, generator):

@@ -162,19 +162,76 @@ def test_x2x_zero_swaps_is_plain_growth():
     assert grown.multiset == g1.multiset.add_copies(3, 9)
 
 
+def test_x2x_swap_bounds_on_k():
+    """Zero swaps return the input's path and trace; a negative count
+    raises for every i."""
+    seeds_by_x = [(3, _cert(seed_row("u136", "g1")))] + [
+        (x, seed_for_residue(x, r)) for x in (4, 5) for r in range(x)
+    ]
+    for x, seed in seeds_by_x:
+        for i in range(x + 1):
+            zero = x2x_swap(seed, x, i, 0)
+            assert (zero.path, zero.trace) == (seed.path, seed.trace)
+            for k in (-1, -2):
+                with pytest.raises(ValueError):
+                    x2x_swap(seed, x, i, k)
+
+
+def _path_outcome(fn, *args):
+    """The path, multiset and grow points an operation returns, or the
+    name of what it raised."""
+    try:
+        c = fn(*args)
+    except ValueError as exc:
+        return type(exc).__name__
+    return (c.path, c.multiset, c.grow_points)
+
+
 def test_perf_grow_matches_x2x():
-    g1 = _cert(seed_row("u136", "g1"))
-    for i in range(4):
-        parts = [[0, 2, 1, 3]] * i + [[0, 1, 2, 3]] * (3 - i)
-        via_parts = perf_grow(g1, 3, [HamPath.of(p) for p in parts])
-        via_swap = x2x_swap(g1, 3, i)
-        assert via_parts.path == via_swap.path
-        assert via_parts.multiset == via_swap.multiset
+    """k swaps are perf_grow with i swapped parts (0, 2, 1, 3, 5, 4, 6,
+    ..., 3k) and x - i plain parts (0, 1, ..., 3k)."""
+    inputs = [(3, _cert(seed_row("u136", "g1")))] + [
+        (x, seed_for_residue(x, r)) for x in range(4, 11) for r in range(x)
+    ]
+    cases = 0
+    for x, seed in inputs:
+        for i in range(x + 1):
+            for k in range(1, 4):
+                swapped = [0] + [
+                    3 * j + d for j in range(k) for d in (2, 1, 3)
+                ]
+                parts = [swapped] * i + [list(range(3 * k + 1))] * (x - i)
+                via_parts = _path_outcome(perf_grow, seed, x, parts)
+                via_swap = _path_outcome(x2x_swap, seed, x, i, k)
+                assert via_parts == via_swap, (seed.path.vertices, x, i, k)
+                cases += 1
+    assert cases == 1272
+
+
+def test_splice_perfect_is_perf_grow_with_one_part():
+    """At every seed row's 1-point, splice_perfect(cert, K) and
+    perf_grow(cert, 1, [K]) build the same path and multiset."""
+    perfect = ([0, 1], [0, 1, 2], [0, 2, 1, 3], [0, 3, 1, 2, 4],
+               [0, 2, 4, 1, 3, 5])
+    spliced = 0
+    for cert in _seed_certs():
+        if not any(gp.x == 1 for gp in cert.grow_points):
+            continue
+        for k_real in perfect:
+            via_splice = _path_outcome(
+                splice_perfect, cert, HamPath.of(k_real)
+            )
+            via_parts = _path_outcome(perf_grow, cert, 1, [k_real])
+            if isinstance(via_splice, tuple):
+                via_splice, via_parts = via_splice[:2], via_parts[:2]
+                spliced += 1
+            assert via_splice == via_parts, (cert.path.vertices, k_real)
+    assert spliced > 100, spliced
 
 
 def test_perf_grow_rejects_wrong_part_count():
     g1 = _cert(seed_row("u136", "g1"))
-    with pytest.raises((NotGrowableError, ValueError)):
+    with pytest.raises(NotGrowableError):
         perf_grow(g1, 3, [HamPath.of([0, 1, 2, 3])])
 
 

@@ -22,10 +22,17 @@ has no status or outcome trace.  The sixth set is the exhaustive oracle
 brute_force on every multiset of order 2..11 with lengths <= v/2, one
 line (multiset items, path or None) each.  The seventh set is the seed
 tables: one line (table id, variant, multiset items, path, declared
-grow points) per iter_seeds() entry, in registry order.  So two
-checkouts that print the same digests gave the same answers from the
-same seeds.  The criterion-4 set takes about as long as criterion 4
-itself.
+grow points) per iter_seeds() entry, in registry order.  The eighth
+set is the growth operations on every seed row: for each x the row
+tracks, x2x_swap with i = 0..x and k = 1, 2 and perf_grow with x
+copies of each of _PARTS; then splice_perfect with each of _PARTS at
+the row's 1-point and even_grow with (4, 4), (4, 6) and (6, 4) at its
+2-point.  Each is one line (table id, variant, operation, arguments,
+path, grow points, multiset items, certificate trace), or the name of
+the exception it raised in place of the last four.  So two checkouts
+that print the same digests gave the same answers from the same seeds
+and grew them the same way.  The criterion-4 set takes about as long as
+criterion 4 itself.
 """
 
 from __future__ import annotations
@@ -38,8 +45,14 @@ HERE = Path(__file__).resolve().parent
 EXPECTED = HERE / "answer_digests.txt"
 sys.path.insert(0, str(HERE.parent / "src"))
 
-from bhr.core import LengthMultiset  # noqa: E402
+from bhr.core import HamPath, LengthMultiset  # noqa: E402
 from bhr.families import construct_1x  # noqa: E402
+from bhr.growth import (  # noqa: E402
+    even_grow,
+    perf_grow,
+    splice_perfect,
+    x2x_swap,
+)
 from bhr.search import brute_force, enumerate_admissible  # noqa: E402
 from bhr.seeds import iter_seeds  # noqa: E402
 from bhr.solvers import solve, solve_136, solve_1x2x  # noqa: E402
@@ -158,6 +171,44 @@ def seed_tables():
         yield repr(line).encode() + b"\n"
 
 
+# perfect linear realizations of sizes 2..5, the plain runs among them
+_PARTS = (
+    (0, 1, 2),
+    (0, 1, 2, 3),
+    (0, 2, 1, 3),
+    (0, 2, 1, 3, 4),
+    (0, 3, 1, 2, 4),
+    (0, 1, 3, 2, 4, 5),
+    (0, 2, 4, 1, 3, 5),
+)
+
+
+def _operations(cert):
+    """(operation, args) of the growth operations run on cert."""
+    for x in sorted({gp.x for gp in cert.grow_points}):
+        for i in range(x + 1):
+            for k in (1, 2):
+                yield x2x_swap, (x, i, k)
+        for part in _PARTS:
+            yield perf_grow, (x, [part] * x)
+    for part in _PARTS:
+        yield splice_perfect, (HamPath.of(part),)
+    for y, z in ((4, 4), (4, 6), (6, 4)):
+        yield even_grow, (y, z)
+
+
+def growth_operations():
+    for e in iter_seeds():
+        cert = e.certificate
+        for op, args in _operations(cert):
+            try:
+                fields = _fields(op(cert, *args))
+            except ValueError as exc:
+                fields = (type(exc).__name__,)
+            line = (e.table_id, e.variant, op.__name__, args) + fields
+            yield repr(line).encode() + b"\n"
+
+
 def _expected() -> dict[str, str]:
     """Set name -> checked-in digest, from lines "digest  name"."""
     out = {}
@@ -178,6 +229,7 @@ def main() -> int:
         ("families construct_1x", families()),
         ("brute_force order <= 11", oracle()),
         ("seed tables", seed_tables()),
+        ("growth operations", growth_operations()),
     ):
         digest = hashlib.sha256()
         count = 0
