@@ -42,10 +42,11 @@ EXIT_VERIFY_FAILED = 5
 EXIT_PIPE_CLOSED = 141  # as a shell reports a process that SIGPIPE ended
 
 
-def _default_brute_cap() -> int:
+def _default_brute_cap() -> int | None:
+    """BHR_BRUTE_CAP, or None for search's own default."""
     raw = os.environ.get("BHR_BRUTE_CAP")
     try:
-        return int(raw) if raw else search.DEFAULT_BRUTE_CAP
+        return int(raw) if raw else None
     except ValueError:
         why = f"BHR_BRUTE_CAP must be an integer: {raw!r}"
         raise ValueError(why) from None

@@ -11,7 +11,6 @@ it is exhaustive, so a None return is a definitive nonexistence verdict.
 from __future__ import annotations
 
 import random
-import sys
 import time
 from dataclasses import dataclass
 from itertools import combinations, compress
@@ -159,41 +158,38 @@ def brute_force(
 ) -> Certificate | None:
     """Exhaustive depth-first search for a realization of ms.
 
-    Prunes by the remaining count of each length, held in a list indexed
-    by length; a length above v/2 is never the length of an edge, so it
-    gets no slot and its copies can never be spent.  Breaks the reversal
-    symmetry by keeping only paths with first vertex smaller than last.
-    Translation classes are not quotiented yet, although y -> y+t and
-    y -> -y (mod v) keep every length.  Lengths in the search are
-    computed without range checks on its own distinct vertices in
-    range(v); the final Certificate check is what guards a found path.
-    Returns a Certificate, or None -- and None is definitive: ms has no
+    Runs on an explicit stack, one iterator per depth over the vertices
+    in ascending order.  Breaks the reversal symmetry by keeping only
+    paths with first vertex smaller than last, so the path found is the
+    lexicographically least realization with that property.  Prunes by
+    the remaining count of each length, held in a list indexed by
+    length; a length above v/2 is never the length of an edge, so it
+    gets no slot and its copies can never be spent.  Translation
+    classes are not quotiented yet, although y -> y+t and y -> -y
+    (mod v) keep every length.  Lengths in the search are computed
+    without range checks on its own distinct vertices in range(v); the
+    final Certificate check is what guards a found path.  Returns a
+    Certificate, or None -- and None is definitive: ms has no
     realization.  Does not require admissibility, so it also serves as
     the necessity-direction oracle.  Raises ValueError for an order
-    above cap or past the depth the recursion limit lets the search
-    reach.
+    above cap, its only refusal: the depth of the search is not bounded
+    by the interpreter's recursion limit.
     """
     cap = DEFAULT_BRUTE_CAP if cap is None else cap
     v = ms.v
     if v > cap:
         raise ValueError(f"v={v} exceeds brute-force cap {cap}")
-    # extend() nests v + 1 deep, and the min() call at depth v and its
-    # comparison reach v + 2; one more frame is kept spare
-    if v + 3 > _frames_left():
-        raise ValueError(f"v={v} exceeds the recursion limit of brute_force")
     half = v // 2
     remaining = [0] * (half + 1)
     for l, c in ms.items:
         if l <= half:
             remaining[l] = c
     path: list[int] = []
+    spent: list[int] = []  # the length of each edge of path, in order
     used = [False] * v
-
-    def extend() -> bool:
-        if len(path) == v:
-            # a 1-vertex path is its own reversal
-            return v == 1 or path[0] < path[-1]
-        for w in range(v):
+    tries = [iter(range(v))]  # the vertices still to try at each depth
+    while tries:
+        for w in tries[-1]:
             if used[w]:
                 continue
             if path:
@@ -202,32 +198,28 @@ def brute_force(
                 if not remaining[l]:
                     continue
                 remaining[l] -= 1
+                spent.append(l)
             used[w] = True
             path.append(w)
-            if extend():
-                return True
-            path.pop()
-            used[w] = False
+            break
+        else:
+            # every vertex tried at this depth: take back the last step
+            tries.pop()
             if path:
-                remaining[l] += 1
-        return False
-
-    if extend():
-        return Certificate(
-            path=HamPath.of(path),
-            multiset=ms,
-            trace=(("brute_force", trace_params(v=v)),),
-        )
+                used[path.pop()] = False
+            if spent:
+                remaining[spent.pop()] += 1
+            continue
+        # a 1-vertex path is its own reversal
+        if len(path) == v and (v == 1 or path[0] < path[-1]):
+            return Certificate(
+                path=HamPath.of(path),
+                multiset=ms,
+                trace=(("brute_force", trace_params(v=v)),),
+            )
+        # a full path leaves no vertex to try, so it steps back next
+        tries.append(iter(range(v)))
     return None
-
-
-def _frames_left() -> int:
-    """Python frames the caller may still push under the recursion
-    limit."""
-    depth, frame = 0, sys._getframe(1)
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    return sys.getrecursionlimit() - depth
 
 
 def enumerate_admissible(v: int, lengths=None):
@@ -278,7 +270,6 @@ def sweep(
     """
     if v_max < 2:
         raise ValueError("v_max must be at least 2")
-    cfg = cfg or SearchConfig()
     cap = DEFAULT_BRUTE_CAP if brute_cap is None else brute_cap
     if definitive and v_max > DEFAULT_DEFINITIVE_CAP:
         raise ValueError(

@@ -43,7 +43,7 @@ from .core import (
 )
 from .families import seed_for_residue
 from .growth import GrowthSchedule, _Chain, multi_grow
-from .search import SearchConfig, brute_force, local_search
+from .search import brute_force, local_search
 from . import seeds as seed_tables
 
 Trace = tuple[tuple[str, dict], ...]
@@ -102,7 +102,7 @@ def _answer(
         return SolveOutcome("solved", certificate=cert, trace=trace)
     if name == _OUT_OF_RANGE and not fallback:
         return SolveOutcome(_OUT_OF_RANGE, trace=trace)
-    cert = local_search(ms, cfg or SearchConfig())
+    cert = local_search(ms, cfg)
     if cert is None:
         try:
             cert = brute_force(ms, cap=brute_cap)

@@ -1,5 +1,6 @@
 import random
 import sys
+import traceback
 
 import pytest
 
@@ -151,15 +152,22 @@ def test_brute_force_cap():
         brute_force(LengthMultiset.parse("1^20"), cap=14)
 
 
-def test_brute_force_refuses_orders_beyond_the_recursion_limit():
-    # the DFS recurses once per vertex, so an order past the recursion
-    # limit is refused up front rather than ending in RecursionError
+def test_brute_force_answers_orders_beyond_the_recursion_limit():
+    # the search keeps its own stack, so neither the order nor the
+    # caller's depth meets the recursion limit: the cap is its only
+    # refusal
     v = sys.getrecursionlimit() + 1
     ms = LengthMultiset.parse(f"1^{v - 1}")
-    with pytest.raises(ValueError, match="recursion"):
-        brute_force(ms, cap=v)
-    # a deep but reachable order still runs
-    assert brute_force(LengthMultiset.parse("1^300"), cap=301) is not None
+    want = tuple(range(v))
+    assert brute_force(ms, cap=v).path.vertices == want
+
+    def from_depth(frames):
+        if frames:
+            return from_depth(frames - 1)
+        return brute_force(ms, cap=v).path.vertices
+
+    depth = len(traceback.extract_stack())
+    assert from_depth(sys.getrecursionlimit() - 50 - depth) == want
 
 
 def _reference_brute_force(ms):
@@ -196,12 +204,12 @@ def _reference_brute_force(ms):
 
 
 def test_brute_force_matches_reference():
-    # every multiset of order 2..9 with lengths up to v/2, the empty
+    # every multiset of order 2..10 with lengths up to v/2, the empty
     # multiset, and three with a length over v/2, which no edge has
     cases = [LengthMultiset(())] + [
         LengthMultiset.parse(text) for text in ("3^2", "1 5", "2 4^3")
     ]
-    for v in range(2, 10):
+    for v in range(2, 11):
         lengths = range(1, v // 2 + 1)
         for vec in _count_vectors(v - 1, len(lengths)):
             cases.append(LengthMultiset.from_counts(dict(zip(lengths, vec))))
@@ -212,7 +220,7 @@ def test_brute_force_matches_reference():
         got = None if cert is None else cert.path.vertices
         assert got == want, ms.format() if ms.items else "empty"
         outcomes["none" if want is None else "path"] += 1
-    assert outcomes == {"path": 322, "none": 27}, outcomes
+    assert outcomes == {"path": 992, "none": 72}, outcomes
 
 
 def test_enumerate_admissible_small():
