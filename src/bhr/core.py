@@ -142,7 +142,9 @@ class HamPath:
         if v < 1:
             raise PathError("empty path")
         if sorted(self.vertices) != list(range(v)):
-            raise PathError(f"not a permutation of 0..{v - 1}: {self.vertices}")
+            raise PathError(
+                f"not a permutation of 0..{v - 1}: {_misfit(self.vertices)}"
+            )
 
     @classmethod
     def of(cls, vertices) -> "HamPath":
@@ -155,6 +157,20 @@ class HamPath:
     def pairs(self):
         vs = self.vertices
         return zip(vs, vs[1:])
+
+
+def _misfit(vertices) -> str:
+    """The first label that keeps vertices from being a permutation of
+    0..v-1: out of range or repeated, by position, else the least
+    missing one.  Names one label, so the message stays short at any v."""
+    v, seen = len(vertices), set()
+    for i, label in enumerate(vertices):
+        if not 0 <= label < v:
+            return f"label {label} at index {i} is out of range"
+        if label in seen:
+            return f"label {label} at index {i} is repeated"
+        seen.add(label)
+    return f"label {min(set(range(v)) - seen)} is missing"
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,15 +2,22 @@
 stored as data with its declared grow points, and the check that they
 verify.
 
-Each `_entries` call registers one table in SEED_TABLES under its id, as
-a tuple of SeedEntry in source order.  The tables keep source order too:
-`iter_seeds` and `seeds dump` walk them in it.  A row is
-(multiset, path, points[, variant]): the multiset in the text
-LengthMultiset.parse reads and `seeds dump` prints, the path as a vertex
-tuple, and the declared grow points as {x: m} in ascending x.  A length
-with no declared point is simply missing from points.  Rows keep the
-block structure of the original tables (horizontal-rule-separated parts
-with different growability guarantees) in their default variant names.
+Each `_entries` call registers one table in SEED_TABLES under its id:
+its rows as text, in blocks, in source order.  The tables keep source
+order too: `iter_seeds` and `seeds dump` walk them in it.  A row is one
+line, "<multiset> | <path> | <x:m ...>[ | <variant>]", for example
+"1 2^3 3 | 1 4 0 2 3 5 | 1:0 2:4 | st1": the multiset in the text
+LengthMultiset.parse reads and `seeds dump` prints, the path's vertex
+labels in visiting order, and the declared grow points x:m in ascending
+x, or "-" when there are none.  A length with no declared point simply
+has no x:m.  parse_row reads a row and format_row prints one.  Rows keep
+the block structure of the original tables (horizontal-rule-separated
+parts with different growability guarantees) in their default variant
+names.
+
+`table` parses a table into SeedEntry objects the first time it is
+asked for it and returns those same objects after that, so importing
+this module parses no row.
 """
 
 from __future__ import annotations
@@ -53,34 +60,75 @@ class SeedEntry:
         )
 
 
-SEED_TABLES: dict[str, tuple[SeedEntry, ...]] = {}
+# table id -> blocks of row text, in source order
+SEED_TABLES: dict[str, tuple[tuple[str, ...], ...]] = {}
+# table id -> its SeedEntry objects, filled by table() on first use
+_parsed: dict[str, tuple[SeedEntry, ...]] = {}
 
 
 def _entries(table_id, blocks) -> None:
-    """Parse rows into SeedEntry objects and register them in SEED_TABLES
-    as table table_id, which must be new.
-
-    blocks: list of lists of rows (multiset, path, points[, variant]); a
-    row without a variant is "main" in block 0 and "blockN" in block N.
-    """
+    """Register blocks, lists of row texts, as seed table table_id, which
+    must be new.  Nothing is parsed until table() asks for it."""
     if table_id in SEED_TABLES:
         raise ValueError(f"seed table {table_id} registered twice")
+    SEED_TABLES[table_id] = tuple(map(tuple, blocks))
+
+
+def parse_row(text: str):
+    """(multiset, path, grow points, variant or None) of one row; raises
+    ValueError when the row is malformed.  The multiset, path and
+    points are checked as values here; whether the path realizes the
+    multiset and the points hold is the entry's Certificate's check."""
+    fields = [field.strip() for field in text.split("|")]
+    if len(fields) not in (3, 4) or "" in fields:
+        raise ValueError(f"need 3 or 4 non-empty fields: {text!r}")
+    multiset = LengthMultiset.parse(fields[0])
+    path = HamPath(tuple(map(int, fields[1].split())))
+    points: list[GrowPoint] = []
+    for token in () if fields[2] == "-" else fields[2].split():
+        x, _, m = token.partition(":")
+        try:
+            point = GrowPoint(int(x), int(m))
+        except ValueError:
+            raise ValueError(f"bad grow point {token!r}, need x:m") from None
+        if points and point.x <= points[-1].x:
+            raise ValueError(f"grow point {token} repeats or lowers x")
+        points.append(point)
+    variant = fields[3] if len(fields) == 4 else None
+    return multiset, path, tuple(points), variant
+
+
+def format_row(multiset, path, points, variant=None) -> str:
+    """The row text that parse_row reads back as (multiset, path,
+    points in ascending x, variant)."""
+    fields = [
+        multiset.format(),
+        " ".join(map(str, path.vertices)),
+        " ".join(f"{gp.x}:{gp.m}" for gp in sorted(points)) or "-",
+    ]
+    if variant is not None:
+        fields.append(variant)
+    return " | ".join(fields)
+
+
+def _parse_table(table_id, blocks) -> tuple[SeedEntry, ...]:
+    """The entries of blocks' rows; a row without a variant is "main" in
+    block 0 and "blockN" in block N.  A malformed row raises ValueError
+    naming table_id and the row's index in the table."""
     out = []
     for block_no, rows in enumerate(blocks):
         default = "main" if block_no == 0 else f"block{block_no}"
-        for multiset, path, points, *variant in rows:
+        for text in rows:
+            try:
+                multiset, path, points, variant = parse_row(text)
+            except ValueError as exc:
+                raise ValueError(
+                    f"seed table {table_id} row {len(out)}: {exc}"
+                ) from exc
             out.append(
-                SeedEntry(
-                    table_id=table_id,
-                    variant=variant[0] if variant else default,
-                    multiset=LengthMultiset.parse(multiset),
-                    path=HamPath.of(path),
-                    declared_grow_points=tuple(
-                        GrowPoint(x, m) for x, m in points.items()
-                    ),
-                )
+                SeedEntry(table_id, variant or default, multiset, path, points)
             )
-    SEED_TABLES[table_id] = tuple(out)
+    return tuple(out)
 
 
 # {1, 2^b, 3^c}: block 0 is {1,2,3}-growable, block 1 covers the small
@@ -89,20 +137,20 @@ _entries(
     "u123-main",
     [
         [
-            ("1 2^2 3^3", (2, 4, 1, 5, 3, 0, 6), {1: 5, 2: 1, 3: 3}),
-            ("1 2^2 3^4", (3, 6, 0, 5, 2, 1, 7, 4), {1: 2, 2: 3, 3: 4}),
-            ("1 2^2 3^5", (6, 5, 2, 8, 1, 4, 7, 0, 3), {1: 7, 2: 5, 3: 2}),
-            ("1 2 3^6", (8, 5, 2, 3, 6, 0, 7, 1, 4), {1: 1, 2: 6, 3: 3}),
-            ("1 2 3^7", (5, 8, 1, 4, 6, 9, 2, 3, 0, 7), {1: 4, 2: 6, 3: 2}),
-            ("1 2 3^5", (6, 1, 4, 7, 5, 0, 3, 2), {1: 4, 2: 1, 3: 2}),
+            "1 2^2 3^3 | 2 4 1 5 3 0 6 | 1:5 2:1 3:3",
+            "1 2^2 3^4 | 3 6 0 5 2 1 7 4 | 1:2 2:3 3:4",
+            "1 2^2 3^5 | 6 5 2 8 1 4 7 0 3 | 1:7 2:5 3:2",
+            "1 2 3^6 | 8 5 2 3 6 0 7 1 4 | 1:1 2:6 3:3",
+            "1 2 3^7 | 5 8 1 4 6 9 2 3 0 7 | 1:4 2:6 3:2",
+            "1 2 3^5 | 6 1 4 7 5 0 3 2 | 1:4 2:1 3:2",
         ],
         [
-            ("1 2^4 3", (0, 2, 4, 1, 6, 5, 3), {1: 5, 2: 2, 3: 3}),
-            ("1 2^2 3^2", (3, 1, 4, 5, 2, 0), {1: 4, 2: 1}),
-            ("1 2^3 3^3", (7, 4, 2, 0, 3, 1, 6, 5), {1: 4, 2: 5, 3: 2}),
-            ("1 2 3^4", (2, 5, 1, 3, 6, 0, 4), {1: 1, 2: 3}),
-            ("1 2^3 3", (4, 2, 5, 3, 1, 0), {1: 1, 2: 3}),
-            ("1 2^3 3^2", (2, 4, 6, 5, 1, 3, 0), {1: 4, 2: 1, 3: 2}),
+            "1 2^4 3 | 0 2 4 1 6 5 3 | 1:5 2:2 3:3",
+            "1 2^2 3^2 | 3 1 4 5 2 0 | 1:4 2:1",
+            "1 2^3 3^3 | 7 4 2 0 3 1 6 5 | 1:4 2:5 3:2",
+            "1 2 3^4 | 2 5 1 3 6 0 4 | 1:1 2:3",
+            "1 2^3 3 | 4 2 5 3 1 0 | 1:1 2:3",
+            "1 2^3 3^2 | 2 4 6 5 1 3 0 | 1:4 2:1 3:2",
         ],
     ],
 )
@@ -112,10 +160,10 @@ _entries(
     "u123-1g",
     [
         [
-            ("1 2 3^3", (2, 5, 4, 1, 3, 0), {1: 4}),
-            ("1^2 2 3^2", (0, 3, 5, 4, 1, 2), {1: 3}),
-            ("1^2 2^2 3", (3, 1, 0, 5, 2, 4), {1: 1}),
-            ("1^3 2 3", (0, 5, 4, 1, 3, 2), {1: 4}),
+            "1 2 3^3 | 2 5 4 1 3 0 | 1:4",
+            "1^2 2 3^2 | 0 3 5 4 1 2 | 1:3",
+            "1^2 2^2 3 | 3 1 0 5 2 4 | 1:1",
+            "1^3 2 3 | 0 5 4 1 3 2 | 1:4",
         ],
     ],
 )
@@ -126,26 +174,25 @@ _entries(
     "u145-a3",
     [
         [
-            ("1^3 4 5^6", (6, 7, 2, 1, 5, 0, 10, 4, 9, 3, 8), {1: 9, 5: 4}),
-            ("1^3 4^2 5^9", (9, 14, 0, 10, 5, 4, 8, 13, 3, 7, 12, 2, 1, 11, 6),
-             {1: 3, 5: 9}),
+            "1^3 4 5^6 | 6 7 2 1 5 0 10 4 9 3 8 | 1:9 5:4",
+            "1^3 4^2 5^9 | 9 14 0 10 5 4 8 13 3 7 12 2 1 11 6 | 1:3 5:9",
         ],
         [
-            ("1^3 4 5^5", (8, 3, 2, 7, 1, 6, 5, 0, 9, 4), {1: 2}),
-            ("1^3 4^2 5^4", (7, 2, 6, 1, 5, 0, 9, 8, 3, 4), {1: 1}),
-            ("1^3 4^3 5^3", (3, 2, 8, 4, 9, 0, 5, 1, 6, 7), {1: 8}),
-            ("1^3 4^4 5^2", (6, 2, 8, 7, 3, 4, 9, 0, 5, 1), {1: 7}),
-            ("1^3 4^5 5", (5, 6, 2, 8, 9, 4, 0, 1, 7, 3), {1: 7}),
-            ("1^4 4 5^4", (2, 1, 6, 7, 3, 8, 9, 4, 5, 0), {1: 1}),
-            ("1^4 4^2 5^3", (7, 8, 4, 9, 3, 2, 1, 6, 5, 0), {1: 4}),
-            ("1^4 4^3 5^2", (9, 5, 0, 6, 1, 2, 3, 4, 8, 7), {1: 4}),
-            ("1^4 4^4 5", (0, 9, 4, 3, 7, 8, 2, 6, 5, 1), {1: 8}),
-            ("1^5 4 5^3", (8, 3, 2, 7, 6, 5, 1, 0, 9, 4), {1: 6}),
-            ("1^5 4^2 5^2", (5, 4, 9, 0, 1, 2, 8, 3, 7, 6), {1: 8}),
-            ("1^5 4^3 5", (4, 5, 9, 8, 3, 7, 6, 2, 1, 0), {1: 2}),
-            ("1^6 4 5^2", (3, 4, 8, 9, 0, 5, 6, 7, 2, 1), {1: 8}),
-            ("1^6 4^2 5", (8, 4, 3, 2, 1, 7, 6, 5, 0, 9), {1: 4}),
-            ("1^7 4 5", (3, 2, 1, 0, 4, 9, 8, 7, 6, 5), {1: 8}),
+            "1^3 4 5^5 | 8 3 2 7 1 6 5 0 9 4 | 1:2",
+            "1^3 4^2 5^4 | 7 2 6 1 5 0 9 8 3 4 | 1:1",
+            "1^3 4^3 5^3 | 3 2 8 4 9 0 5 1 6 7 | 1:8",
+            "1^3 4^4 5^2 | 6 2 8 7 3 4 9 0 5 1 | 1:7",
+            "1^3 4^5 5 | 5 6 2 8 9 4 0 1 7 3 | 1:7",
+            "1^4 4 5^4 | 2 1 6 7 3 8 9 4 5 0 | 1:1",
+            "1^4 4^2 5^3 | 7 8 4 9 3 2 1 6 5 0 | 1:4",
+            "1^4 4^3 5^2 | 9 5 0 6 1 2 3 4 8 7 | 1:4",
+            "1^4 4^4 5 | 0 9 4 3 7 8 2 6 5 1 | 1:8",
+            "1^5 4 5^3 | 8 3 2 7 6 5 1 0 9 4 | 1:6",
+            "1^5 4^2 5^2 | 5 4 9 0 1 2 8 3 7 6 | 1:8",
+            "1^5 4^3 5 | 4 5 9 8 3 7 6 2 1 0 | 1:2",
+            "1^6 4 5^2 | 3 4 8 9 0 5 6 7 2 1 | 1:8",
+            "1^6 4^2 5 | 8 4 3 2 1 7 6 5 0 9 | 1:4",
+            "1^7 4 5 | 3 2 1 0 4 9 8 7 6 5 | 1:8",
         ],
     ],
 )
@@ -156,96 +203,58 @@ _entries(
     "u145-a2",
     [
         [
-            ("1^2 4^4 5^5", (5, 9, 1, 6, 7, 2, 10, 3, 8, 4, 11, 0),
-             {1: 9, 4: 4, 5: 5}),
-            ("1^2 4^8 5", (5, 9, 1, 6, 2, 10, 11, 3, 7, 8, 4, 0),
-             {1: 9, 4: 3, 5: 5}),
-            ("1^2 4^8 5^2", (5, 6, 1, 10, 9, 0, 4, 8, 12, 3, 7, 2, 11),
-             {1: 8, 4: 3, 5: 5}),
-            ("1^2 4^8 5^3", (1, 11, 12, 2, 7, 3, 13, 4, 8, 9, 5, 0, 10, 6),
-             {1: 10, 4: 5, 5: 6}),
-            ("1^2 4^4 5^4", (1, 6, 7, 2, 9, 5, 0, 10, 3, 8, 4),
-             {1: 9, 4: 3, 5: 4}),
-            ("1^2 4^5 5^5", (7, 8, 3, 11, 2, 10, 6, 1, 5, 9, 4, 0, 12),
-             {1: 10, 4: 6, 5: 7}),
-            ("1^2 4^9 5", (10, 1, 6, 2, 11, 12, 3, 7, 8, 4, 0, 9, 5),
-             {1: 9, 4: 3, 5: 5}),
-            ("1^2 4^9 5^2", (5, 9, 13, 3, 7, 8, 4, 0, 10, 1, 6, 2, 12, 11),
-             {1: 9, 4: 3, 5: 5}),
-            ("1^2 4^5 5^3", (5, 9, 2, 7, 6, 1, 0, 4, 8, 3, 10),
-             {1: 9, 4: 3, 5: 5}),
-            ("1^2 4^5 5^4", (0, 1, 5, 9, 4, 11, 3, 8, 7, 2, 10, 6),
-             {1: 10, 4: 4, 5: 6}),
-            ("1^2 4^6 5^5", (4, 9, 13, 0, 10, 5, 1, 11, 6, 2, 3, 8, 12, 7),
-             {1: 1, 4: 4, 5: 7}),
-            ("1^2 4^10 5", (7, 11, 1, 5, 9, 10, 6, 2, 12, 13, 3, 8, 4, 0),
-             {1: 11, 4: 3, 5: 7}),
-            ("1^2 4^6 5^2", (1, 6, 2, 9, 5, 0, 10, 3, 7, 8, 4),
-             {1: 9, 4: 3, 5: 5}),
-            ("1^2 4^6 5^3", (5, 9, 1, 6, 2, 10, 3, 7, 8, 4, 11, 0),
-             {1: 9, 4: 4, 5: 5}),
-            ("1^2 4^6 5^4", (5, 6, 1, 10, 9, 0, 8, 4, 12, 3, 7, 2, 11),
-             {1: 8, 4: 4, 5: 5}),
-            ("1^2 4^7 5^5", (12, 13, 2, 6, 10, 0, 11, 1, 5, 9, 4, 14, 3, 8, 7),
-             {1: 10, 4: 6, 5: 7}),
-            ("1^2 4^7 5", (10, 3, 7, 8, 4, 0, 1, 6, 2, 9, 5),
-             {1: 9, 4: 3, 5: 5}),
-            ("1^2 4^7 5^2", (11, 3, 7, 2, 10, 6, 1, 0, 4, 8, 9, 5),
-             {1: 10, 4: 3, 5: 5}),
-            ("1^2 4^7 5^3", (11, 12, 3, 8, 4, 0, 9, 5, 1, 10, 2, 7, 6),
-             {1: 9, 4: 3, 5: 6}),
-            ("1^2 4^7 5^4", (11, 12, 2, 7, 6, 1, 10, 0, 4, 8, 3, 13, 9, 5),
-             {1: 9, 4: 3, 5: 5}),
+            "1^2 4^4 5^5 | 5 9 1 6 7 2 10 3 8 4 11 0 | 1:9 4:4 5:5",
+            "1^2 4^8 5 | 5 9 1 6 2 10 11 3 7 8 4 0 | 1:9 4:3 5:5",
+            "1^2 4^8 5^2 | 5 6 1 10 9 0 4 8 12 3 7 2 11 | 1:8 4:3 5:5",
+            "1^2 4^8 5^3 | 1 11 12 2 7 3 13 4 8 9 5 0 10 6 | 1:10 4:5 5:6",
+            "1^2 4^4 5^4 | 1 6 7 2 9 5 0 10 3 8 4 | 1:9 4:3 5:4",
+            "1^2 4^5 5^5 | 7 8 3 11 2 10 6 1 5 9 4 0 12 | 1:10 4:6 5:7",
+            "1^2 4^9 5 | 10 1 6 2 11 12 3 7 8 4 0 9 5 | 1:9 4:3 5:5",
+            "1^2 4^9 5^2 | 5 9 13 3 7 8 4 0 10 1 6 2 12 11 | 1:9 4:3 5:5",
+            "1^2 4^5 5^3 | 5 9 2 7 6 1 0 4 8 3 10 | 1:9 4:3 5:5",
+            "1^2 4^5 5^4 | 0 1 5 9 4 11 3 8 7 2 10 6 | 1:10 4:4 5:6",
+            "1^2 4^6 5^5 | 4 9 13 0 10 5 1 11 6 2 3 8 12 7 | 1:1 4:4 5:7",
+            "1^2 4^10 5 | 7 11 1 5 9 10 6 2 12 13 3 8 4 0 | 1:11 4:3 5:7",
+            "1^2 4^6 5^2 | 1 6 2 9 5 0 10 3 7 8 4 | 1:9 4:3 5:5",
+            "1^2 4^6 5^3 | 5 9 1 6 2 10 3 7 8 4 11 0 | 1:9 4:4 5:5",
+            "1^2 4^6 5^4 | 5 6 1 10 9 0 8 4 12 3 7 2 11 | 1:8 4:4 5:5",
+            "1^2 4^7 5^5 | 12 13 2 6 10 0 11 1 5 9 4 14 3 8 7 | 1:10 4:6 5:7",
+            "1^2 4^7 5 | 10 3 7 8 4 0 1 6 2 9 5 | 1:9 4:3 5:5",
+            "1^2 4^7 5^2 | 11 3 7 2 10 6 1 0 4 8 9 5 | 1:10 4:3 5:5",
+            "1^2 4^7 5^3 | 11 12 3 8 4 0 9 5 1 10 2 7 6 | 1:9 4:3 5:6",
+            "1^2 4^7 5^4 | 11 12 2 7 6 1 10 0 4 8 3 13 9 5 | 1:9 4:3 5:5",
         ],
         [
-            ("1^2 4^4 5^6", (12, 11, 3, 8, 4, 0, 5, 9, 1, 10, 2, 7, 6),
-             {1: 9, 4: 5, 5: 6}),
-            ("1^2 4^4 5^7", (3, 13, 4, 9, 10, 5, 0, 1, 6, 11, 7, 2, 12, 8),
-             {1: 12, 4: 7, 5: 8}),
-            ("1^2 4^4 5^8", (12, 2, 6, 1, 11, 7, 3, 13, 8, 9, 14, 10, 0, 5, 4),
-             {1: 7, 4: 3, 5: 4}),
-            ("1^2 4^5 5^6", (0, 5, 9, 8, 4, 13, 12, 3, 7, 2, 11, 1, 10, 6),
-             {1: 10, 4: 5, 5: 6}),
-            ("1^2 4^5 5^7", (4, 9, 5, 1, 12, 7, 2, 3, 8, 13, 14, 10, 0, 11, 6),
-             {1: 1, 4: 5, 5: 8}),
-            ("1^2 4^2 5^10",
-             (10, 0, 5, 4, 14, 9, 8, 13, 3, 7, 12, 2, 6, 1, 11),
-             {1: 7, 4: 10, 5: 4}),
-            ("1^2 4^2 5^6", (2, 7, 0, 6, 1, 8, 3, 4, 9, 10, 5),
-             {1: 1, 4: 4, 5: 5}),
-            ("1^2 4^2 5^7", (5, 10, 11, 6, 1, 9, 4, 3, 8, 0, 7, 2),
-             {1: 1, 4: 4, 5: 5}),
-            ("1^2 4^2 5^8", (5, 10, 1, 6, 11, 12, 7, 2, 3, 8, 0, 9, 4),
-             {1: 1, 4: 4, 5: 5}),
-            ("1^2 4^3 5^5", (1, 6, 2, 8, 9, 3, 7, 0, 5, 4, 10), {1: 7, 5: 4}),
-            ("1^2 4^3 5^6", (2, 7, 0, 8, 3, 4, 9, 1, 5, 10, 11, 6),
-             {1: 1, 4: 4, 5: 6}),
-            ("1^2 4^3 5^7", (10, 2, 7, 3, 11, 12, 4, 8, 0, 9, 1, 6, 5),
-             {1: 8, 4: 4, 5: 5}),
-            ("1^2 4^3 5^8", (4, 9, 0, 1, 10, 5, 6, 11, 2, 12, 7, 3, 13, 8),
-             {1: 3, 4: 6, 5: 8}),
-            ("1^2 4^3 5^9", (0, 5, 10, 6, 1, 11, 7, 2, 12, 13, 3, 14, 4, 9, 8),
-             {1: 11, 4: 7, 5: 8}),
+            "1^2 4^4 5^6 | 12 11 3 8 4 0 5 9 1 10 2 7 6 | 1:9 4:5 5:6",
+            "1^2 4^4 5^7 | 3 13 4 9 10 5 0 1 6 11 7 2 12 8 | 1:12 4:7 5:8",
+            "1^2 4^4 5^8 | 12 2 6 1 11 7 3 13 8 9 14 10 0 5 4 | 1:7 4:3 5:4",
+            "1^2 4^5 5^6 | 0 5 9 8 4 13 12 3 7 2 11 1 10 6 | 1:10 4:5 5:6",
+            "1^2 4^5 5^7 | 4 9 5 1 12 7 2 3 8 13 14 10 0 11 6 | 1:1 4:5 5:8",
+            "1^2 4^2 5^10 | 10 0 5 4 14 9 8 13 3 7 12 2 6 1 11 | 1:7 4:10 5:4",
+            "1^2 4^2 5^6 | 2 7 0 6 1 8 3 4 9 10 5 | 1:1 4:4 5:5",
+            "1^2 4^2 5^7 | 5 10 11 6 1 9 4 3 8 0 7 2 | 1:1 4:4 5:5",
+            "1^2 4^2 5^8 | 5 10 1 6 11 12 7 2 3 8 0 9 4 | 1:1 4:4 5:5",
+            "1^2 4^3 5^5 | 1 6 2 8 9 3 7 0 5 4 10 | 1:7 5:4",
+            "1^2 4^3 5^6 | 2 7 0 8 3 4 9 1 5 10 11 6 | 1:1 4:4 5:6",
+            "1^2 4^3 5^7 | 10 2 7 3 11 12 4 8 0 9 1 6 5 | 1:8 4:4 5:5",
+            "1^2 4^3 5^8 | 4 9 0 1 10 5 6 11 2 12 7 3 13 8 | 1:3 4:6 5:8",
+            "1^2 4^3 5^9 | 0 5 10 6 1 11 7 2 12 13 3 14 4 9 8 | 1:11 4:7 5:8",
         ],
         [
-            ("1^2 4 5^10", (11, 2, 7, 12, 3, 8, 13, 4, 9, 10, 6, 1, 0, 5),
-             {4: 9, 5: 4}),
-            ("1^2 4 5^7", (8, 3, 2, 7, 1, 6, 0, 10, 4, 9, 5), {4: 4, 5: 5}),
-            ("1^2 4 5^8", (6, 11, 4, 9, 8, 1, 2, 7, 3, 10, 5, 0),
-             {4: 5, 5: 6}),
-            ("1^2 4 5^9", (5, 10, 2, 7, 8, 3, 11, 6, 1, 0, 9, 4, 12),
-             {4: 4, 5: 5}),
+            "1^2 4 5^10 | 11 2 7 12 3 8 13 4 9 10 6 1 0 5 | 4:9 5:4",
+            "1^2 4 5^7 | 8 3 2 7 1 6 0 10 4 9 5 | 4:4 5:5",
+            "1^2 4 5^8 | 6 11 4 9 8 1 2 7 3 10 5 0 | 4:5 5:6",
+            "1^2 4 5^9 | 5 10 2 7 8 3 11 6 1 0 9 4 12 | 4:4 5:5",
         ],
         [
-            ("1^2 4^2 5^9", (6, 11, 2, 7, 12, 3, 8, 4, 5, 10, 1, 0, 9, 13),
-             {4: 5, 5: 6}),
+            "1^2 4^2 5^9 | 6 11 2 7 12 3 8 4 5 10 1 0 9 13 | 4:5 5:6",
         ],
         [
-            ("1^2 4^4 5^3", (5, 0, 6, 1, 7, 2, 3, 9, 8, 4), {1: 4}),
-            ("1^2 4^5 5^2", (4, 8, 3, 9, 5, 0, 6, 7, 1, 2), {1: 4}),
-            ("1^2 4^2 5^5", (9, 4, 0, 5, 6, 1, 7, 2, 3, 8), {1: 7}),
-            ("1^2 4^6 5", (9, 3, 4, 0, 6, 5, 1, 7, 2, 8), {1: 6}),
-            ("1^2 4^3 5^4", (9, 4, 5, 0, 1, 6, 2, 8, 3, 7), {1: 8}),
+            "1^2 4^4 5^3 | 5 0 6 1 7 2 3 9 8 4 | 1:4",
+            "1^2 4^5 5^2 | 4 8 3 9 5 0 6 7 1 2 | 1:4",
+            "1^2 4^2 5^5 | 9 4 0 5 6 1 7 2 3 8 | 1:7",
+            "1^2 4^6 5 | 9 3 4 0 6 5 1 7 2 8 | 1:6",
+            "1^2 4^3 5^4 | 9 4 5 0 1 6 2 8 3 7 | 1:8",
         ],
     ],
 )
@@ -256,45 +265,29 @@ _entries(
     "u145-a1",
     [
         [
-            ("1 4^4 5^5", (4, 9, 5, 0, 1, 6, 10, 3, 7, 2, 8), {4: 3, 5: 4}),
-            ("1 4^4 5^6", (9, 2, 7, 3, 10, 5, 1, 0, 8, 4, 11, 6),
-             {4: 4, 5: 6}),
-            ("1 4^4 5^7", (4, 9, 1, 5, 0, 8, 12, 11, 6, 10, 2, 7, 3),
-             {4: 3, 5: 4}),
-            ("1 4^4 5^8", (6, 10, 5, 0, 9, 13, 4, 8, 3, 12, 7, 2, 1, 11),
-             {4: 5, 5: 6}),
-            ("1 4^4 5^9", (3, 14, 4, 9, 5, 0, 10, 6, 1, 11, 12, 7, 2, 13, 8),
-             {4: 7, 5: 8}),
-            ("1 4 5^10", (6, 11, 3, 8, 0, 12, 7, 2, 10, 5, 1, 9, 4),
-             {4: 4, 5: 6}),
-            ("1 4^5 5^6", (4, 9, 5, 0, 8, 3, 12, 7, 11, 10, 1, 6, 2),
-             {4: 3, 5: 4}),
-            ("1 4^5 5^7", (12, 3, 7, 11, 2, 1, 6, 10, 0, 5, 9, 4, 13, 8),
-             {4: 6, 5: 8}),
-            ("1 4 5^8", (4, 9, 10, 3, 8, 2, 7, 1, 6, 0, 5), {4: 3, 5: 4}),
-            ("1 4 5^9", (10, 3, 8, 1, 2, 7, 0, 5, 9, 4, 11, 6), {4: 5, 5: 6}),
-            ("1 4^2 5^10", (7, 2, 11, 6, 1, 10, 5, 0, 9, 13, 12, 3, 8, 4),
-             {4: 3, 5: 4}),
-            ("1 4^6 5^6", (7, 11, 2, 12, 3, 8, 4, 13, 9, 5, 0, 1, 10, 6),
-             {4: 6, 5: 7}),
-            ("1 4^2 5^7", (1, 6, 0, 5, 10, 3, 7, 2, 8, 9, 4), {4: 3, 5: 4}),
-            ("1 4^2 5^8", (9, 1, 2, 7, 0, 5, 10, 3, 8, 4, 11, 6),
-             {4: 5, 5: 6}),
-            ("1 4^2 5^9", (9, 4, 12, 3, 8, 0, 1, 6, 11, 7, 2, 10, 5),
-             {4: 4, 5: 5}),
-            ("1 4^3 5^10", (4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11, 10, 0, 5),
-             {4: 3, 5: 4}),
-            ("1 4^3 5^6", (4, 9, 3, 8, 2, 6, 10, 0, 5, 1, 7), {4: 3, 5: 4}),
-            ("1 4^3 5^7", (1, 6, 10, 3, 8, 4, 11, 0, 7, 2, 9, 5),
-             {4: 4, 5: 5}),
-            ("1 4^3 5^8", (10, 5, 0, 4, 9, 1, 6, 11, 2, 3, 8, 12, 7),
-             {4: 6, 5: 7}),
-            ("1 4^3 5^9", (11, 6, 1, 2, 7, 12, 3, 8, 4, 13, 9, 0, 10, 5),
-             {4: 4, 5: 5}),
+            "1 4^4 5^5 | 4 9 5 0 1 6 10 3 7 2 8 | 4:3 5:4",
+            "1 4^4 5^6 | 9 2 7 3 10 5 1 0 8 4 11 6 | 4:4 5:6",
+            "1 4^4 5^7 | 4 9 1 5 0 8 12 11 6 10 2 7 3 | 4:3 5:4",
+            "1 4^4 5^8 | 6 10 5 0 9 13 4 8 3 12 7 2 1 11 | 4:5 5:6",
+            "1 4^4 5^9 | 3 14 4 9 5 0 10 6 1 11 12 7 2 13 8 | 4:7 5:8",
+            "1 4 5^10 | 6 11 3 8 0 12 7 2 10 5 1 9 4 | 4:4 5:6",
+            "1 4^5 5^6 | 4 9 5 0 8 3 12 7 11 10 1 6 2 | 4:3 5:4",
+            "1 4^5 5^7 | 12 3 7 11 2 1 6 10 0 5 9 4 13 8 | 4:6 5:8",
+            "1 4 5^8 | 4 9 10 3 8 2 7 1 6 0 5 | 4:3 5:4",
+            "1 4 5^9 | 10 3 8 1 2 7 0 5 9 4 11 6 | 4:5 5:6",
+            "1 4^2 5^10 | 7 2 11 6 1 10 5 0 9 13 12 3 8 4 | 4:3 5:4",
+            "1 4^6 5^6 | 7 11 2 12 3 8 4 13 9 5 0 1 10 6 | 4:6 5:7",
+            "1 4^2 5^7 | 1 6 0 5 10 3 7 2 8 9 4 | 4:3 5:4",
+            "1 4^2 5^8 | 9 1 2 7 0 5 10 3 8 4 11 6 | 4:5 5:6",
+            "1 4^2 5^9 | 9 4 12 3 8 0 1 6 11 7 2 10 5 | 4:4 5:5",
+            "1 4^3 5^10 | 4 9 14 3 8 13 2 7 12 1 6 11 10 0 5 | 4:3 5:4",
+            "1 4^3 5^6 | 4 9 3 8 2 6 10 0 5 1 7 | 4:3 5:4",
+            "1 4^3 5^7 | 1 6 10 3 8 4 11 0 7 2 9 5 | 4:4 5:5",
+            "1 4^3 5^8 | 10 5 0 4 9 1 6 11 2 3 8 12 7 | 4:6 5:7",
+            "1 4^3 5^9 | 11 6 1 2 7 12 3 8 4 13 9 0 10 5 | 4:4 5:5",
         ],
         [
-            ("1 4 5^11", (1, 6, 10, 11, 2, 7, 12, 3, 8, 13, 4, 9, 0, 5),
-             {4: 9, 5: 4}),
+            "1 4 5^11 | 1 6 10 11 2 7 12 3 8 13 4 9 0 5 | 4:9 5:4",
         ],
     ],
 )
@@ -304,25 +297,24 @@ _entries(
     "u145-4g",
     [
         [
-            ("1 4^4 5^4", (7, 3, 8, 4, 9, 0, 5, 1, 6, 2), {4: 4}),
-            ("1 4^5 5^3", (9, 4, 8, 3, 7, 2, 6, 0, 1, 5), {4: 4}),
-            ("1 4^5 5^4", (9, 10, 3, 7, 1, 5, 0, 6, 2, 8, 4), {4: 3}),
-            ("1 4^5 5^5", (4, 8, 9, 1, 6, 11, 3, 7, 2, 10, 5, 0), {4: 3}),
-            ("1 4^6 5^2", (7, 3, 8, 4, 0, 9, 5, 1, 6, 2), {4: 5}),
-            ("1 4^6 5^3", (2, 6, 1, 7, 0, 4, 8, 3, 10, 9, 5), {4: 3}),
-            ("1 4^6 5^4", (5, 6, 1, 9, 4, 0, 8, 3, 11, 7, 2, 10), {4: 3}),
-            ("1 4^6 5^5", (5, 10, 6, 1, 9, 0, 4, 8, 12, 11, 3, 7, 2), {4: 4}),
-            ("1 4^7 5", (7, 3, 9, 4, 8, 2, 6, 0, 1, 5), {4: 4}),
-            ("1 4^7 5^2", (8, 4, 0, 10, 3, 7, 1, 6, 2, 9, 5), {4: 4}),
-            ("1 4^7 5^3", (4, 8, 0, 1, 5, 9, 2, 6, 11, 7, 3, 10), {4: 7}),
-            ("1 4^7 5^4", (8, 3, 12, 0, 4, 9, 5, 1, 10, 2, 6, 11, 7), {4: 6}),
-            ("1 4^7 5^5", (5, 10, 0, 9, 13, 4, 8, 7, 3, 12, 2, 6, 1, 11),
-             {4: 4}),
-            ("1 4^8 5", (7, 3, 10, 0, 4, 8, 1, 6, 2, 9, 5), {4: 3}),
-            ("1 4^8 5^2", (4, 8, 0, 5, 9, 1, 6, 2, 10, 11, 3, 7), {4: 3}),
-            ("1 4^8 5^3", (6, 10, 11, 2, 7, 3, 12, 8, 4, 0, 5, 9, 1), {4: 5}),
-            ("1 4^9 5^2", (4, 9, 8, 12, 3, 7, 11, 2, 6, 10, 1, 5, 0), {4: 3}),
-            ("1 4^10 5", (6, 10, 1, 5, 9, 0, 4, 8, 12, 11, 2, 7, 3), {4: 3}),
+            "1 4^4 5^4 | 7 3 8 4 9 0 5 1 6 2 | 4:4",
+            "1 4^5 5^3 | 9 4 8 3 7 2 6 0 1 5 | 4:4",
+            "1 4^5 5^4 | 9 10 3 7 1 5 0 6 2 8 4 | 4:3",
+            "1 4^5 5^5 | 4 8 9 1 6 11 3 7 2 10 5 0 | 4:3",
+            "1 4^6 5^2 | 7 3 8 4 0 9 5 1 6 2 | 4:5",
+            "1 4^6 5^3 | 2 6 1 7 0 4 8 3 10 9 5 | 4:3",
+            "1 4^6 5^4 | 5 6 1 9 4 0 8 3 11 7 2 10 | 4:3",
+            "1 4^6 5^5 | 5 10 6 1 9 0 4 8 12 11 3 7 2 | 4:4",
+            "1 4^7 5 | 7 3 9 4 8 2 6 0 1 5 | 4:4",
+            "1 4^7 5^2 | 8 4 0 10 3 7 1 6 2 9 5 | 4:4",
+            "1 4^7 5^3 | 4 8 0 1 5 9 2 6 11 7 3 10 | 4:7",
+            "1 4^7 5^4 | 8 3 12 0 4 9 5 1 10 2 6 11 7 | 4:6",
+            "1 4^7 5^5 | 5 10 0 9 13 4 8 7 3 12 2 6 1 11 | 4:4",
+            "1 4^8 5 | 7 3 10 0 4 8 1 6 2 9 5 | 4:3",
+            "1 4^8 5^2 | 4 8 0 5 9 1 6 2 10 11 3 7 | 4:3",
+            "1 4^8 5^3 | 6 10 11 2 7 3 12 8 4 0 5 9 1 | 4:5",
+            "1 4^9 5^2 | 4 9 8 12 3 7 11 2 6 10 1 5 0 | 4:3",
+            "1 4^10 5 | 6 10 1 5 9 0 4 8 12 11 2 7 3 | 4:3",
         ],
     ],
 )
@@ -333,32 +325,29 @@ _entries(
     "u1234-a2",
     [
         [
-            ("1^2 3^3 4^4", (3, 7, 1, 4, 0, 9, 2, 6, 5, 8), {3: 2, 4: 3}),
-            ("1^2 3^3 4^5", (3, 7, 10, 2, 6, 5, 1, 9, 8, 4, 0), {3: 2, 4: 5}),
-            ("1^2 3^3 4^6", (6, 9, 10, 2, 1, 5, 8, 0, 4, 7, 3, 11),
-             {3: 5, 4: 6}),
-            ("1^2 3^3 4^3", (1, 5, 6, 2, 8, 0, 3, 7, 4), {3: 3, 4: 4}),
-            ("1^2 3 4^8", (3, 7, 11, 10, 6, 2, 1, 5, 9, 0, 4, 8),
-             {3: 2, 4: 7}),
-            ("1^2 3 4^5", (3, 6, 2, 7, 8, 4, 0, 1, 5), {3: 2, 4: 4}),
-            ("1^2 3 4^6", (5, 9, 8, 4, 1, 7, 3, 2, 6, 0), {3: 4, 4: 5}),
-            ("1^2 3 4^7", (4, 8, 7, 3, 0, 1, 5, 9, 2, 6, 10), {3: 3, 4: 6}),
-            ("1^2 3^2 4^4", (4, 8, 0, 3, 7, 6, 1, 5, 2), {3: 3, 4: 4}),
-            ("1^2 3^2 4^5", (5, 9, 3, 6, 2, 8, 7, 4, 0, 1), {3: 4, 4: 5}),
-            ("1^2 3^2 4^6", (4, 0, 10, 6, 9, 2, 5, 1, 8, 7, 3), {3: 2, 4: 3}),
-            ("1^2 3^2 4^7", (8, 0, 4, 3, 11, 7, 6, 9, 1, 5, 2, 10),
-             {3: 8, 4: 3}),
+            "1^2 3^3 4^4 | 3 7 1 4 0 9 2 6 5 8 | 3:2 4:3",
+            "1^2 3^3 4^5 | 3 7 10 2 6 5 1 9 8 4 0 | 3:2 4:5",
+            "1^2 3^3 4^6 | 6 9 10 2 1 5 8 0 4 7 3 11 | 3:5 4:6",
+            "1^2 3^3 4^3 | 1 5 6 2 8 0 3 7 4 | 3:3 4:4",
+            "1^2 3 4^8 | 3 7 11 10 6 2 1 5 9 0 4 8 | 3:2 4:7",
+            "1^2 3 4^5 | 3 6 2 7 8 4 0 1 5 | 3:2 4:4",
+            "1^2 3 4^6 | 5 9 8 4 1 7 3 2 6 0 | 3:4 4:5",
+            "1^2 3 4^7 | 4 8 7 3 0 1 5 9 2 6 10 | 3:3 4:6",
+            "1^2 3^2 4^4 | 4 8 0 3 7 6 1 5 2 | 3:3 4:4",
+            "1^2 3^2 4^5 | 5 9 3 6 2 8 7 4 0 1 | 3:4 4:5",
+            "1^2 3^2 4^6 | 4 0 10 6 9 2 5 1 8 7 3 | 3:2 4:3",
+            "1^2 3^2 4^7 | 8 0 4 3 11 7 6 9 1 5 2 10 | 3:8 4:3",
         ],
         [
-            ("1^2 3^6 4", (5, 8, 9, 2, 6, 3, 0, 1, 4, 7), {3: 4, 4: 5}),
-            ("1^2 3^3 4^2", (6, 3, 2, 5, 1, 4, 0, 7), {3: 3}),
-            ("1^2 3^4 4^4", (8, 5, 6, 2, 10, 9, 1, 4, 0, 7, 3), {3: 2, 4: 3}),
-            ("1^2 3^4 4", (2, 5, 6, 3, 7, 4, 1, 0), {3: 4}),
-            ("1^2 3^4 4^2", (3, 7, 8, 5, 2, 1, 4, 0, 6), {3: 2, 4: 3}),
-            ("1^2 3^4 4^3", (2, 6, 3, 0, 9, 5, 1, 8, 7, 4), {3: 3, 4: 5}),
-            ("1^2 3^5 4", (0, 4, 1, 7, 8, 2, 5, 6, 3), {3: 2, 4: 3}),
-            ("1^2 3^5 4^2", (5, 8, 1, 4, 7, 3, 2, 6, 9, 0), {3: 4, 4: 5}),
-            ("1^2 3^2 4^3", (7, 6, 2, 3, 0, 4, 1, 5), {3: 2}),
+            "1^2 3^6 4 | 5 8 9 2 6 3 0 1 4 7 | 3:4 4:5",
+            "1^2 3^3 4^2 | 6 3 2 5 1 4 0 7 | 3:3",
+            "1^2 3^4 4^4 | 8 5 6 2 10 9 1 4 0 7 3 | 3:2 4:3",
+            "1^2 3^4 4 | 2 5 6 3 7 4 1 0 | 3:4",
+            "1^2 3^4 4^2 | 3 7 8 5 2 1 4 0 6 | 3:2 4:3",
+            "1^2 3^4 4^3 | 2 6 3 0 9 5 1 8 7 4 | 3:3 4:5",
+            "1^2 3^5 4 | 0 4 1 7 8 2 5 6 3 | 3:2 4:3",
+            "1^2 3^5 4^2 | 5 8 1 4 7 3 2 6 9 0 | 3:4 4:5",
+            "1^2 3^2 4^3 | 7 6 2 3 0 4 1 5 | 3:2",
         ],
     ],
 )
@@ -370,43 +359,36 @@ _entries(
     "u134",
     [
         [
-            ("1 3^3 4^4", (3, 6, 1, 4, 0, 5, 2, 7, 8), {2: 6, 3: 2, 4: 3}),
-            ("1 3^3 4^5", (3, 6, 2, 8, 4, 1, 7, 0, 9, 5), {2: 2, 3: 4, 4: 5}),
-            ("1 3^3 4^6", (4, 5, 1, 8, 0, 3, 7, 10, 6, 2, 9),
-             {2: 7, 3: 3, 4: 4}),
-            ("1 3^3 4^7", (3, 7, 6, 2, 10, 1, 5, 9, 0, 4, 8, 11),
-             {2: 9, 3: 2, 4: 6}),
-            ("1 3^4 4^4", (4, 7, 0, 6, 3, 9, 8, 2, 5, 1), {2: 7, 3: 3, 4: 4}),
-            ("1 3^4 4^5", (6, 9, 2, 10, 3, 7, 4, 0, 1, 8, 5),
-             {2: 4, 3: 5, 4: 6}),
-            ("1 3 4^6", (2, 6, 1, 5, 0, 3, 7, 8, 4), {2: 1, 3: 3, 4: 4}),
-            ("1 3^4 4^3", (4, 7, 1, 5, 0, 8, 2, 6, 3), {2: 2, 3: 3, 4: 4}),
-            ("1 3^2 4^8", (7, 11, 3, 4, 0, 8, 5, 1, 9, 6, 2, 10),
-             {2: 6, 3: 8, 4: 3}),
-            ("1 3^2 4^5", (3, 7, 2, 6, 0, 1, 5, 8, 4), {2: 2, 3: 3, 4: 4}),
-            ("1 3^2 4^6", (4, 5, 1, 8, 2, 6, 0, 7, 3, 9), {2: 7, 3: 3, 4: 4}),
-            ("1 3^2 4^7", (4, 8, 1, 0, 7, 10, 3, 6, 2, 9, 5),
-             {2: 3, 3: 4, 4: 5}),
+            "1 3^3 4^4 | 3 6 1 4 0 5 2 7 8 | 2:6 3:2 4:3",
+            "1 3^3 4^5 | 3 6 2 8 4 1 7 0 9 5 | 2:2 3:4 4:5",
+            "1 3^3 4^6 | 4 5 1 8 0 3 7 10 6 2 9 | 2:7 3:3 4:4",
+            "1 3^3 4^7 | 3 7 6 2 10 1 5 9 0 4 8 11 | 2:9 3:2 4:6",
+            "1 3^4 4^4 | 4 7 0 6 3 9 8 2 5 1 | 2:7 3:3 4:4",
+            "1 3^4 4^5 | 6 9 2 10 3 7 4 0 1 8 5 | 2:4 3:5 4:6",
+            "1 3 4^6 | 2 6 1 5 0 3 7 8 4 | 2:1 3:3 4:4",
+            "1 3^4 4^3 | 4 7 1 5 0 8 2 6 3 | 2:2 3:3 4:4",
+            "1 3^2 4^8 | 7 11 3 4 0 8 5 1 9 6 2 10 | 2:6 3:8 4:3",
+            "1 3^2 4^5 | 3 7 2 6 0 1 5 8 4 | 2:2 3:3 4:4",
+            "1 3^2 4^6 | 4 5 1 8 2 6 0 7 3 9 | 2:7 3:3 4:4",
+            "1 3^2 4^7 | 4 8 1 0 7 10 3 6 2 9 5 | 2:3 3:4 4:5",
         ],
         [
-            ("1 3 4^8", (4, 5, 1, 8, 0, 7, 3, 10, 6, 2, 9),
-             {2: 7, 3: 3, 4: 4}),
-            ("1 3 4^7", (3, 7, 1, 4, 8, 2, 6, 0, 9, 5), {2: 2, 3: 4, 4: 5}),
+            "1 3 4^8 | 4 5 1 8 0 7 3 10 6 2 9 | 2:7 3:3 4:4",
+            "1 3 4^7 | 3 7 1 4 8 2 6 0 9 5 | 2:2 3:4 4:5",
         ],
         [
-            ("1 3^6 4", (7, 1, 4, 5, 8, 2, 6, 0, 3), {2: 6, 3: 2}),
-            ("1 3^6 4^2", (5, 6, 3, 9, 2, 8, 1, 4, 7, 0), {2: 4, 3: 5}),
-            ("1 3^3 4^3", (0, 3, 7, 6, 2, 5, 1, 4), {2: 1, 3: 2}),
-            ("1 3^7 4", (5, 2, 9, 8, 1, 4, 7, 0, 6, 3), {2: 7, 3: 4}),
-            ("1 3^4 4^2", (0, 5, 2, 6, 1, 4, 3, 7), {2: 2, 3: 3}),
-            ("1 3^5 4^4", (10, 9, 2, 6, 3, 0, 7, 4, 1, 8, 5),
-             {2: 8, 3: 4, 4: 5}),
-            ("1 3^5 4", (2, 5, 0, 1, 6, 3, 7, 4), {2: 3, 3: 4}),
-            ("1 3^5 4^2", (2, 5, 8, 7, 3, 0, 6, 1, 4), {2: 1, 3: 3}),
-            ("1 3^5 4^3", (3, 0, 6, 7, 1, 4, 8, 5, 2, 9), {2: 5, 3: 2}),
+            "1 3^6 4 | 7 1 4 5 8 2 6 0 3 | 2:6 3:2",
+            "1 3^6 4^2 | 5 6 3 9 2 8 1 4 7 0 | 2:4 3:5",
+            "1 3^3 4^3 | 0 3 7 6 2 5 1 4 | 2:1 3:2",
+            "1 3^7 4 | 5 2 9 8 1 4 7 0 6 3 | 2:7 3:4",
+            "1 3^4 4^2 | 0 5 2 6 1 4 3 7 | 2:2 3:3",
+            "1 3^5 4^4 | 10 9 2 6 3 0 7 4 1 8 5 | 2:8 3:4 4:5",
+            "1 3^5 4 | 2 5 0 1 6 3 7 4 | 2:3 3:4",
+            "1 3^5 4^2 | 2 5 8 7 3 0 6 1 4 | 2:1 3:3",
+            "1 3^5 4^3 | 3 0 6 7 1 4 8 5 2 9 | 2:5 3:2",
         ],
         [
-            ("1 3^2 4^4", (2, 6, 7, 3, 0, 4, 1, 5), {2: 1}),
+            "1 3^2 4^4 | 2 6 7 3 0 4 1 5 | 2:1",
         ],
     ],
 )
@@ -416,22 +398,21 @@ _entries(
     "u1234-beven",
     [
         [
-            ("1 2^2 3 4^5", (7, 8, 2, 6, 0, 4, 1, 9, 5, 3),
-             {2: 6, 3: 2, 4: 3}),
+            "1 2^2 3 4^5 | 7 8 2 6 0 4 1 9 5 3 | 2:6 3:2 4:3",
         ],
         [
-            ("1 2^2 3^3 4", (6, 4, 1, 2, 5, 7, 3, 0), {2: 5, 3: 2}),
-            ("1 2^2 3^3 4^2", (4, 7, 5, 1, 8, 0, 3, 6, 2), {2: 1, 3: 3, 4: 4}),
-            ("1 2^2 3 4^4", (1, 5, 8, 6, 2, 7, 0, 4, 3), {2: 6, 3: 2, 4: 3}),
-            ("1 2^2 3^4 4", (3, 6, 0, 4, 1, 8, 7, 5, 2), {2: 6, 3: 2, 4: 3}),
-            ("1 2^2 3 4^3", (1, 0, 4, 6, 2, 5, 3, 7), {2: 3, 3: 4}),
-            ("1 2^2 3^2 4^2", (7, 6, 2, 4, 1, 5, 3, 0), {2: 1, 3: 3}),
-            ("1 2^2 3^2 4^3", (3, 5, 7, 8, 2, 6, 1, 4, 0), {2: 6, 3: 2, 4: 3}),
+            "1 2^2 3^3 4 | 6 4 1 2 5 7 3 0 | 2:5 3:2",
+            "1 2^2 3^3 4^2 | 4 7 5 1 8 0 3 6 2 | 2:1 3:3 4:4",
+            "1 2^2 3 4^4 | 1 5 8 6 2 7 0 4 3 | 2:6 3:2 4:3",
+            "1 2^2 3^4 4 | 3 6 0 4 1 8 7 5 2 | 2:6 3:2 4:3",
+            "1 2^2 3 4^3 | 1 0 4 6 2 5 3 7 | 2:3 3:4",
+            "1 2^2 3^2 4^2 | 7 6 2 4 1 5 3 0 | 2:1 3:3",
+            "1 2^2 3^2 4^3 | 3 5 7 8 2 6 1 4 0 | 2:6 3:2 4:3",
         ],
         [
-            ("1 2^4 3 4", (0, 3, 1, 7, 5, 4, 2, 6), {2: 1, 3: 2}),
-            ("1 2^4 3 4^2", (3, 5, 7, 8, 6, 2, 0, 4, 1), {2: 6, 3: 2, 4: 3}),
-            ("1 2^4 3^2 4", (1, 3, 5, 8, 2, 4, 0, 7, 6), {2: 6, 3: 2}),
+            "1 2^4 3 4 | 0 3 1 7 5 4 2 6 | 2:1 3:2",
+            "1 2^4 3 4^2 | 3 5 7 8 6 2 0 4 1 | 2:6 3:2 4:3",
+            "1 2^4 3^2 4 | 1 3 5 8 2 4 0 7 6 | 2:6 3:2",
         ],
     ],
 )
@@ -441,53 +422,41 @@ _entries(
     "u1234-bodd",
     [
         [
-            ("1 2 3^3 4^4", (9, 2, 6, 0, 4, 1, 7, 8, 5, 3),
-             {2: 6, 3: 2, 4: 3}),
-            ("1 2 3^3 4^5", (5, 8, 1, 9, 10, 2, 6, 4, 0, 7, 3),
-             {2: 8, 3: 4, 4: 5}),
-            ("1 2 3^3 4^6", (3, 5, 9, 1, 4, 0, 8, 7, 10, 6, 2, 11),
-             {2: 6, 3: 2, 4: 3}),
-            ("1 2 3^3 4^3", (4, 7, 3, 0, 1, 5, 8, 6, 2), {2: 1, 3: 3, 4: 4}),
-            ("1 2 3 4^8", (10, 6, 2, 11, 3, 7, 9, 1, 5, 4, 0, 8),
-             {2: 7, 3: 8, 4: 4}),
-            ("1 2 3 4^5", (2, 6, 7, 3, 0, 5, 1, 8, 4), {2: 1, 3: 3, 4: 4}),
-            ("1 2 3 4^6", (3, 4, 0, 6, 2, 8, 1, 5, 9, 7), {2: 6, 3: 2, 4: 3}),
-            ("1 2 3 4^7", (9, 2, 6, 5, 1, 10, 3, 7, 0, 8, 4),
-             {2: 8, 3: 3, 4: 5}),
-            ("1 2 3^2 4^4", (2, 6, 1, 4, 0, 8, 5, 7, 3), {2: 1, 3: 2, 4: 3}),
-            ("1 2 3^2 4^5", (8, 1, 5, 4, 0, 6, 2, 9, 7, 3),
-             {2: 7, 3: 2, 4: 4}),
-            ("1 2 3^2 4^6", (3, 7, 0, 4, 6, 10, 2, 5, 1, 8, 9),
-             {2: 7, 3: 2, 4: 4}),
-            ("1 2 3^2 4^7", (7, 11, 3, 4, 0, 9, 1, 5, 8, 10, 6, 2),
-             {2: 6, 3: 8, 4: 3}),
+            "1 2 3^3 4^4 | 9 2 6 0 4 1 7 8 5 3 | 2:6 3:2 4:3",
+            "1 2 3^3 4^5 | 5 8 1 9 10 2 6 4 0 7 3 | 2:8 3:4 4:5",
+            "1 2 3^3 4^6 | 3 5 9 1 4 0 8 7 10 6 2 11 | 2:6 3:2 4:3",
+            "1 2 3^3 4^3 | 4 7 3 0 1 5 8 6 2 | 2:1 3:3 4:4",
+            "1 2 3 4^8 | 10 6 2 11 3 7 9 1 5 4 0 8 | 2:7 3:8 4:4",
+            "1 2 3 4^5 | 2 6 7 3 0 5 1 8 4 | 2:1 3:3 4:4",
+            "1 2 3 4^6 | 3 4 0 6 2 8 1 5 9 7 | 2:6 3:2 4:3",
+            "1 2 3 4^7 | 9 2 6 5 1 10 3 7 0 8 4 | 2:8 3:3 4:5",
+            "1 2 3^2 4^4 | 2 6 1 4 0 8 5 7 3 | 2:1 3:2 4:3",
+            "1 2 3^2 4^5 | 8 1 5 4 0 6 2 9 7 3 | 2:7 3:2 4:4",
+            "1 2 3^2 4^6 | 3 7 0 4 6 10 2 5 1 8 9 | 2:7 3:2 4:4",
+            "1 2 3^2 4^7 | 7 11 3 4 0 9 1 5 8 10 6 2 | 2:6 3:8 4:3",
         ],
         [
-            ("1 2 3^6 4", (4, 7, 9, 2, 6, 3, 0, 1, 8, 5), {2: 3, 3: 4, 4: 5}),
-            ("1 2 3^3 4^2", (2, 5, 1, 0, 6, 3, 7, 4), {2: 3, 3: 4}),
-            ("1 2 3^4 4^4", (3, 7, 10, 8, 0, 4, 5, 1, 9, 6, 2),
-             {2: 7, 3: 2, 4: 4}),
-            ("1 2 3^4 4", (0, 6, 3, 7, 4, 1, 2, 5), {2: 2, 3: 4}),
-            ("1 2 3^4 4^2", (3, 7, 6, 0, 4, 1, 8, 5, 2), {2: 1, 3: 2, 4: 3}),
-            ("1 2 3^4 4^3", (3, 6, 9, 7, 0, 1, 5, 2, 8, 4),
-             {2: 2, 3: 3, 4: 4}),
-            ("1 2 3^5 4", (3, 6, 7, 1, 4, 0, 2, 5, 8), {2: 6, 3: 2, 4: 3}),
-            ("1 2 3^5 4^2", (7, 1, 4, 0, 2, 5, 8, 9, 6, 3),
-             {2: 6, 3: 2, 4: 3}),
-            ("1 2 3^2 4^3", (4, 0, 3, 1, 5, 2, 6, 7), {2: 1, 3: 2}),
+            "1 2 3^6 4 | 4 7 9 2 6 3 0 1 8 5 | 2:3 3:4 4:5",
+            "1 2 3^3 4^2 | 2 5 1 0 6 3 7 4 | 2:3 3:4",
+            "1 2 3^4 4^4 | 3 7 10 8 0 4 5 1 9 6 2 | 2:7 3:2 4:4",
+            "1 2 3^4 4 | 0 6 3 7 4 1 2 5 | 2:2 3:4",
+            "1 2 3^4 4^2 | 3 7 6 0 4 1 8 5 2 | 2:1 3:2 4:3",
+            "1 2 3^4 4^3 | 3 6 9 7 0 1 5 2 8 4 | 2:2 3:3 4:4",
+            "1 2 3^5 4 | 3 6 7 1 4 0 2 5 8 | 2:6 3:2 4:3",
+            "1 2 3^5 4^2 | 7 1 4 0 2 5 8 9 6 3 | 2:6 3:2 4:3",
+            "1 2 3^2 4^3 | 4 0 3 1 5 2 6 7 | 2:1 3:2",
         ],
         [
-            ("1 2 3 4^4", (3, 7, 6, 2, 0, 4, 1, 5), {2: 1}),
+            "1 2 3 4^4 | 3 7 6 2 0 4 1 5 | 2:1",
         ],
         [
-            ("1 2^3 3^3 4", (3, 6, 8, 7, 5, 2, 0, 4, 1), {2: 6, 3: 2, 4: 3}),
-            ("1 2^3 3 4^4", (4, 6, 0, 8, 7, 3, 9, 1, 5, 2),
-             {2: 7, 3: 3, 4: 4}),
-            ("1 2^5 3 4", (4, 2, 0, 8, 6, 3, 1, 5, 7), {2: 6, 3: 3}),
-            ("1 2^3 3 4^2", (4, 6, 2, 5, 3, 7, 1, 0), {2: 3, 3: 4}),
-            ("1 2^3 3 4^3", (2, 6, 7, 0, 3, 5, 1, 8, 4), {2: 1, 3: 3, 4: 4}),
-            ("1 2^3 3^2 4", (5, 2, 0, 1, 7, 3, 6, 4), {2: 3, 3: 4}),
-            ("1 2^3 3^2 4^2", (4, 6, 0, 2, 5, 1, 8, 7, 3), {2: 2, 3: 3, 4: 4}),
+            "1 2^3 3^3 4 | 3 6 8 7 5 2 0 4 1 | 2:6 3:2 4:3",
+            "1 2^3 3 4^4 | 4 6 0 8 7 3 9 1 5 2 | 2:7 3:3 4:4",
+            "1 2^5 3 4 | 4 2 0 8 6 3 1 5 7 | 2:6 3:3",
+            "1 2^3 3 4^2 | 4 6 2 5 3 7 1 0 | 2:3 3:4",
+            "1 2^3 3 4^3 | 2 6 7 0 3 5 1 8 4 | 2:1 3:3 4:4",
+            "1 2^3 3^2 4 | 5 2 0 1 7 3 6 4 | 2:3 3:4",
+            "1 2^3 3^2 4^2 | 4 6 0 2 5 1 8 7 3 | 2:2 3:3 4:4",
         ],
     ],
 )
@@ -497,56 +466,49 @@ _entries(
     "u234-bodd",
     [
         [
-            ("2 3^3 4^4", (2, 6, 8, 5, 0, 4, 1, 7, 3), {2: 1, 3: 2, 4: 3}),
-            ("2 3^3 4^5", (2, 5, 1, 8, 4, 0, 6, 9, 7, 3), {2: 1, 3: 2, 4: 4}),
-            ("2 3^3 4^6", (3, 6, 10, 7, 0, 9, 2, 5, 1, 8, 4),
-             {2: 2, 3: 3, 4: 4}),
-            ("2 3^3 4^7", (6, 10, 2, 5, 9, 0, 8, 4, 1, 3, 11, 7),
-             {2: 5, 3: 6, 4: 7}),
-            ("2 3^4 4^4", (3, 6, 9, 5, 2, 8, 0, 4, 1, 7), {2: 6, 3: 2, 4: 3}),
-            ("2 3^4 4^5", (2, 5, 9, 6, 3, 10, 8, 1, 4, 0, 7),
-             {2: 6, 3: 7, 4: 3}),
-            ("2 3 4^6", (3, 7, 2, 6, 0, 5, 1, 8, 4), {2: 2, 3: 3, 4: 4}),
-            ("2 3 4^7", (2, 6, 0, 4, 8, 1, 5, 9, 7, 3), {2: 1, 3: 2, 4: 5}),
-            ("2 3^2 4^8", (10, 2, 6, 3, 11, 7, 5, 1, 9, 0, 8, 4),
-             {2: 8, 3: 3, 4: 5}),
-            ("2 3^2 4^9", (7, 11, 8, 12, 3, 5, 9, 0, 4, 1, 10, 6, 2),
-             {2: 6, 3: 7, 4: 3}),
-            ("2 3^2 4^6", (2, 6, 0, 3, 7, 9, 5, 1, 8, 4), {2: 1, 3: 3, 4: 5}),
-            ("2 3^2 4^7", (9, 2, 5, 1, 8, 0, 7, 3, 10, 6, 4),
-             {2: 7, 3: 3, 4: 4}),
+            "2 3^3 4^4 | 2 6 8 5 0 4 1 7 3 | 2:1 3:2 4:3",
+            "2 3^3 4^5 | 2 5 1 8 4 0 6 9 7 3 | 2:1 3:2 4:4",
+            "2 3^3 4^6 | 3 6 10 7 0 9 2 5 1 8 4 | 2:2 3:3 4:4",
+            "2 3^3 4^7 | 6 10 2 5 9 0 8 4 1 3 11 7 | 2:5 3:6 4:7",
+            "2 3^4 4^4 | 3 6 9 5 2 8 0 4 1 7 | 2:6 3:2 4:3",
+            "2 3^4 4^5 | 2 5 9 6 3 10 8 1 4 0 7 | 2:6 3:7 4:3",
+            "2 3 4^6 | 3 7 2 6 0 5 1 8 4 | 2:2 3:3 4:4",
+            "2 3 4^7 | 2 6 0 4 8 1 5 9 7 3 | 2:1 3:2 4:5",
+            "2 3^2 4^8 | 10 2 6 3 11 7 5 1 9 0 8 4 | 2:8 3:3 4:5",
+            "2 3^2 4^9 | 7 11 8 12 3 5 9 0 4 1 10 6 2 | 2:6 3:7 4:3",
+            "2 3^2 4^6 | 2 6 0 3 7 9 5 1 8 4 | 2:1 3:3 4:5",
+            "2 3^2 4^7 | 9 2 5 1 8 0 7 3 10 6 4 | 2:7 3:3 4:4",
         ],
         [
-            ("2 3^6 4", (3, 6, 0, 4, 1, 7, 5, 2, 8), {2: 6, 3: 2, 4: 3}),
-            ("2 3^6 4^2", (4, 7, 1, 5, 2, 9, 6, 3, 0, 8), {2: 7, 3: 3, 4: 4}),
-            ("2 3^3 4^3", (0, 4, 1, 7, 3, 6, 2, 5), {2: 2, 3: 3}),
-            ("2 3^7 4", (3, 6, 9, 2, 5, 1, 8, 0, 7, 4), {2: 7, 3: 3, 4: 4}),
-            ("2 3^4 4^2", (7, 1, 4, 0, 5, 2, 6, 3), {2: 2, 3: 3}),
-            ("2 3^4 4^3", (3, 6, 0, 4, 2, 7, 1, 5, 8), {2: 6, 3: 2, 4: 3}),
-            ("2 3^5 4^4", (6, 10, 2, 9, 1, 4, 8, 0, 3, 7, 5),
-             {2: 4, 3: 5, 4: 6}),
-            ("2 3^2 4^5", (2, 6, 1, 3, 7, 4, 0, 5, 8), {2: 1, 3: 4}),
-            ("2 3^5 4", (1, 4, 7, 3, 6, 0, 5, 2), {2: 2, 3: 4}),
-            ("2 3^5 4^2", (3, 6, 0, 4, 1, 8, 5, 2, 7), {2: 6, 3: 2, 4: 3}),
-            ("2 3^5 4^3", (9, 6, 2, 8, 1, 5, 3, 0, 7, 4), {2: 7, 3: 3, 4: 4}),
+            "2 3^6 4 | 3 6 0 4 1 7 5 2 8 | 2:6 3:2 4:3",
+            "2 3^6 4^2 | 4 7 1 5 2 9 6 3 0 8 | 2:7 3:3 4:4",
+            "2 3^3 4^3 | 0 4 1 7 3 6 2 5 | 2:2 3:3",
+            "2 3^7 4 | 3 6 9 2 5 1 8 0 7 4 | 2:7 3:3 4:4",
+            "2 3^4 4^2 | 7 1 4 0 5 2 6 3 | 2:2 3:3",
+            "2 3^4 4^3 | 3 6 0 4 2 7 1 5 8 | 2:6 3:2 4:3",
+            "2 3^5 4^4 | 6 10 2 9 1 4 8 0 3 7 5 | 2:4 3:5 4:6",
+            "2 3^2 4^5 | 2 6 1 3 7 4 0 5 8 | 2:1 3:4",
+            "2 3^5 4 | 1 4 7 3 6 0 5 2 | 2:2 3:4",
+            "2 3^5 4^2 | 3 6 0 4 1 8 5 2 7 | 2:6 3:2 4:3",
+            "2 3^5 4^3 | 9 6 2 8 1 5 3 0 7 4 | 2:7 3:3 4:4",
         ],
         [
-            ("2 3^2 4^4", (7, 3, 6, 2, 4, 0, 5, 1), {2: 3}),
+            "2 3^2 4^4 | 7 3 6 2 4 0 5 1 | 2:3",
         ],
         [
-            ("2^3 3^3 4", (1, 6, 0, 2, 5, 3, 7, 4), {2: 3, 3: 4}),
-            ("2^3 3^3 4^2", (7, 1, 4, 0, 2, 6, 8, 5, 3), {2: 6, 3: 2, 4: 3}),
-            ("2^3 3^4 4", (3, 6, 8, 2, 5, 7, 0, 4, 1), {2: 6, 3: 2, 4: 3}),
-            ("2^5 3^2 4", (5, 7, 3, 1, 8, 2, 0, 6, 4), {2: 4, 3: 5}),
-            ("2^3 3^2 4^2", (2, 4, 1, 5, 7, 3, 0, 6), {2: 1, 3: 2}),
-            ("2^3 3^2 4^3", (3, 5, 7, 0, 4, 1, 6, 2, 8), {2: 6, 3: 2, 4: 3}),
+            "2^3 3^3 4 | 1 6 0 2 5 3 7 4 | 2:3 3:4",
+            "2^3 3^3 4^2 | 7 1 4 0 2 6 8 5 3 | 2:6 3:2 4:3",
+            "2^3 3^4 4 | 3 6 8 2 5 7 0 4 1 | 2:6 3:2 4:3",
+            "2^5 3^2 4 | 5 7 3 1 8 2 0 6 4 | 2:4 3:5",
+            "2^3 3^2 4^2 | 2 4 1 5 7 3 0 6 | 2:1 3:2",
+            "2^3 3^2 4^3 | 3 5 7 0 4 1 6 2 8 | 2:6 3:2 4:3",
         ],
         [
-            ("2^3 3 4^4", (3, 7, 5, 0, 4, 1, 8, 6, 2), {2: 1, 3: 2, 4: 3}),
-            ("2^5 3 4", (5, 7, 1, 3, 0, 6, 2, 4), {2: 1, 3: 2}),
-            ("2^5 3 4^2", (4, 6, 8, 1, 5, 2, 0, 7, 3), {2: 2, 3: 3, 4: 4}),
-            ("2^3 3 4^3", (1, 7, 3, 5, 2, 6, 4, 0), {2: 3, 3: 4}),
-            ("2^3 3 4^5", (5, 9, 1, 7, 3, 0, 8, 2, 6, 4), {2: 3, 3: 4, 4: 5}),
+            "2^3 3 4^4 | 3 7 5 0 4 1 8 6 2 | 2:1 3:2 4:3",
+            "2^5 3 4 | 5 7 1 3 0 6 2 4 | 2:1 3:2",
+            "2^5 3 4^2 | 4 6 8 1 5 2 0 7 3 | 2:2 3:3 4:4",
+            "2^3 3 4^3 | 1 7 3 5 2 6 4 0 | 2:3 3:4",
+            "2^3 3 4^5 | 5 9 1 7 3 0 8 2 6 4 | 2:3 3:4 4:5",
         ],
     ],
 )
@@ -556,51 +518,40 @@ _entries(
     "u234-beven",
     [
         [
-            ("2^2 3^3 4^4", (2, 5, 9, 6, 8, 0, 4, 1, 7, 3),
-             {2: 1, 3: 2, 4: 3}),
-            ("2^2 3^3 4^5", (8, 0, 7, 3, 10, 1, 5, 2, 9, 6, 4),
-             {2: 7, 3: 3, 4: 4}),
-            ("2^2 3^3 4^6", (8, 0, 4, 2, 10, 1, 5, 7, 11, 3, 6, 9),
-             {2: 7, 3: 8, 4: 3}),
-            ("2^2 3^3 4^3", (3, 6, 1, 5, 8, 2, 4, 0, 7), {2: 6, 3: 2, 4: 3}),
-            ("2^2 3 4^8", (4, 8, 0, 2, 6, 10, 1, 9, 5, 3, 11, 7),
-             {2: 3, 3: 6, 4: 7}),
-            ("2^2 3 4^5", (4, 8, 5, 1, 6, 2, 0, 7, 3), {2: 2, 3: 3, 4: 4}),
-            ("2^2 3 4^6", (4, 8, 0, 2, 6, 9, 5, 1, 7, 3), {2: 2, 3: 3, 4: 5}),
-            ("2^2 3 4^7", (4, 8, 1, 5, 7, 0, 9, 2, 6, 3, 10),
-             {2: 8, 3: 3, 4: 5}),
-            ("2^2 3^2 4^4", (2, 6, 0, 3, 7, 5, 1, 8, 4), {2: 1, 3: 3, 4: 4}),
-            ("2^2 3^2 4^5", (4, 7, 1, 5, 3, 9, 6, 2, 8, 0),
-             {2: 7, 3: 3, 4: 4}),
-            ("2^2 3^2 4^6", (5, 8, 10, 3, 7, 0, 4, 6, 2, 9, 1),
-             {2: 8, 3: 4, 4: 5}),
-            ("2^2 3^2 4^7", (10, 2, 6, 8, 0, 9, 5, 1, 11, 3, 7, 4),
-             {2: 9, 3: 3, 4: 6}),
+            "2^2 3^3 4^4 | 2 5 9 6 8 0 4 1 7 3 | 2:1 3:2 4:3",
+            "2^2 3^3 4^5 | 8 0 7 3 10 1 5 2 9 6 4 | 2:7 3:3 4:4",
+            "2^2 3^3 4^6 | 8 0 4 2 10 1 5 7 11 3 6 9 | 2:7 3:8 4:3",
+            "2^2 3^3 4^3 | 3 6 1 5 8 2 4 0 7 | 2:6 3:2 4:3",
+            "2^2 3 4^8 | 4 8 0 2 6 10 1 9 5 3 11 7 | 2:3 3:6 4:7",
+            "2^2 3 4^5 | 4 8 5 1 6 2 0 7 3 | 2:2 3:3 4:4",
+            "2^2 3 4^6 | 4 8 0 2 6 9 5 1 7 3 | 2:2 3:3 4:5",
+            "2^2 3 4^7 | 4 8 1 5 7 0 9 2 6 3 10 | 2:8 3:3 4:5",
+            "2^2 3^2 4^4 | 2 6 0 3 7 5 1 8 4 | 2:1 3:3 4:4",
+            "2^2 3^2 4^5 | 4 7 1 5 3 9 6 2 8 0 | 2:7 3:3 4:4",
+            "2^2 3^2 4^6 | 5 8 10 3 7 0 4 6 2 9 1 | 2:8 3:4 4:5",
+            "2^2 3^2 4^7 | 10 2 6 8 0 9 5 1 11 3 7 4 | 2:9 3:3 4:6",
         ],
         [
-            ("2^2 3^6 4", (4, 7, 9, 6, 3, 0, 8, 1, 5, 2), {2: 7, 3: 3, 4: 4}),
-            ("2^2 3^3 4^2", (2, 5, 7, 3, 6, 0, 4, 1), {2: 2, 3: 3}),
-            ("2^2 3^4 4^4", (0, 3, 7, 10, 8, 1, 5, 2, 9, 6, 4),
-             {2: 7, 3: 3, 4: 4}),
-            ("2^2 3^4 4", (0, 3, 1, 6, 2, 5, 7, 4), {2: 5, 3: 2}),
-            ("2^2 3^4 4^2", (3, 6, 1, 4, 0, 7, 5, 2, 8), {2: 6, 3: 2, 4: 3}),
-            ("2^2 3^4 4^3", (8, 1, 5, 2, 0, 7, 3, 9, 6, 4),
-             {2: 7, 3: 3, 4: 4}),
-            ("2^2 3^5 4", (7, 5, 2, 8, 1, 4, 0, 6, 3), {2: 6, 3: 2, 4: 3}),
-            ("2^2 3^5 4^2", (9, 1, 5, 2, 8, 6, 3, 0, 7, 4),
-             {2: 7, 3: 3, 4: 4}),
-            ("2^2 3^2 4^3", (7, 3, 6, 4, 0, 2, 5, 1), {2: 3, 3: 4}),
+            "2^2 3^6 4 | 4 7 9 6 3 0 8 1 5 2 | 2:7 3:3 4:4",
+            "2^2 3^3 4^2 | 2 5 7 3 6 0 4 1 | 2:2 3:3",
+            "2^2 3^4 4^4 | 0 3 7 10 8 1 5 2 9 6 4 | 2:7 3:3 4:4",
+            "2^2 3^4 4 | 0 3 1 6 2 5 7 4 | 2:5 3:2",
+            "2^2 3^4 4^2 | 3 6 1 4 0 7 5 2 8 | 2:6 3:2 4:3",
+            "2^2 3^4 4^3 | 8 1 5 2 0 7 3 9 6 4 | 2:7 3:3 4:4",
+            "2^2 3^5 4 | 7 5 2 8 1 4 0 6 3 | 2:6 3:2 4:3",
+            "2^2 3^5 4^2 | 9 1 5 2 8 6 3 0 7 4 | 2:7 3:3 4:4",
+            "2^2 3^2 4^3 | 7 3 6 4 0 2 5 1 | 2:3 3:4",
         ],
         [
-            ("2^2 3 4^4", (0, 4, 2, 6, 1, 5, 3, 7), {2: 3}),
+            "2^2 3 4^4 | 0 4 2 6 1 5 3 7 | 2:3",
         ],
         [
-            ("2^4 3^3 4", (2, 5, 7, 0, 4, 1, 8, 6, 3), {2: 6, 3: 2, 4: 3}),
-            ("2^6 3 4", (7, 5, 2, 0, 4, 6, 8, 1, 3), {2: 6, 3: 2}),
-            ("2^4 3 4^2", (7, 1, 3, 5, 2, 6, 4, 0), {2: 3, 3: 4}),
-            ("2^4 3 4^3", (3, 7, 0, 4, 6, 8, 1, 5, 2), {2: 1, 3: 2, 4: 4}),
-            ("2^4 3^2 4", (1, 3, 0, 6, 2, 4, 7, 5), {2: 5, 3: 2}),
-            ("2^4 3^2 4^2", (8, 6, 2, 0, 4, 1, 7, 5, 3), {2: 6, 3: 2, 4: 3}),
+            "2^4 3^3 4 | 2 5 7 0 4 1 8 6 3 | 2:6 3:2 4:3",
+            "2^6 3 4 | 7 5 2 0 4 6 8 1 3 | 2:6 3:2",
+            "2^4 3 4^2 | 7 1 3 5 2 6 4 0 | 2:3 3:4",
+            "2^4 3 4^3 | 3 7 0 4 6 8 1 5 2 | 2:1 3:2 4:4",
+            "2^4 3^2 4 | 1 3 0 6 2 4 7 5 | 2:5 3:2",
+            "2^4 3^2 4^2 | 8 6 2 0 4 1 7 5 3 | 2:6 3:2 4:3",
         ],
     ],
 )
@@ -610,15 +561,12 @@ _entries(
     "u136",
     [
         [
-            ("1^2 3^4", (6, 5, 1, 4, 0, 3, 2), {1: 4, 3: 2}, "g1"),
-            ("1 3^5", (3, 0, 6, 2, 5, 1, 4), {1: 5, 3: 2}, "g2"),
-            ("1 3^6", (5, 2, 7, 0, 3, 6, 1, 4), {1: 6, 3: 2}, "g3"),
-            ("1 3^10 6", (2, 12, 9, 6, 3, 0, 10, 7, 4, 5, 8, 1, 11),
-             {1: 3, 3: 5}, "g4"),
-            ("1 3^11 6", (5, 2, 13, 10, 7, 8, 11, 0, 3, 6, 9, 12, 4, 1),
-             {1: 6, 3: 8}, "g5"),
-            ("1^2 3^9 6", (9, 6, 3, 0, 10, 7, 8, 11, 1, 4, 5, 12, 2),
-             {1: 6, 3: 8}, "g6"),
+            "1^2 3^4 | 6 5 1 4 0 3 2 | 1:4 3:2 | g1",
+            "1 3^5 | 3 0 6 2 5 1 4 | 1:5 3:2 | g2",
+            "1 3^6 | 5 2 7 0 3 6 1 4 | 1:6 3:2 | g3",
+            "1 3^10 6 | 2 12 9 6 3 0 10 7 4 5 8 1 11 | 1:3 3:5 | g4",
+            "1 3^11 6 | 5 2 13 10 7 8 11 0 3 6 9 12 4 1 | 1:6 3:8 | g5",
+            "1^2 3^9 6 | 9 6 3 0 10 7 8 11 1 4 5 12 2 | 1:6 3:8 | g6",
         ],
     ],
 )
@@ -629,11 +577,11 @@ _entries(
     [
         [
             # closes the {1^2, 3, 4^4} case; no growth needed
-            ("1^2 3 4^4", (0, 4, 5, 1, 2, 6, 3, 7), {}, "u1234-small"),
+            "1^2 3 4^4 | 0 4 5 1 2 6 3 7 | - | u1234-small",
             # 4-growable; basis for {2, 3, 4^(4k+8)}
-            ("2 3 4^8", (2, 6, 10, 3, 7, 4, 0, 9, 5, 1, 8), {4: 4}, "u234-4g"),
+            "2 3 4^8 | 2 6 10 3 7 4 0 9 5 1 8 | 4:4 | u234-4g",
             # closes the {1, 4^3, 5^5} case; no growth needed
-            ("1 4^3 5^5", (0, 5, 9, 4, 8, 3, 7, 2, 1, 6), {}, "u145-small"),
+            "1 4^3 5^5 | 0 5 9 4 8 3 7 2 1 6 | - | u145-small",
         ],
     ],
 )
@@ -651,28 +599,17 @@ _entries(
     "supplement",
     [
         [
-            ("1^2 2^4 3^2", (0, 1, 3, 2, 8, 6, 4, 7, 5),
-             {1: 8, 2: 2, 3: 6}, "s0"),
-            ("1^3 4 5^7", (1, 6, 7, 2, 9, 10, 3, 8, 0, 5, 4, 11),
-             {1: 8, 4: 11, 5: 4}, "s1"),
-            ("1 2^2 3^6 4^3", (0, 1, 4, 2, 11, 8, 5, 3, 12, 9, 6, 10, 7),
-             {1: 5, 2: 12, 3: 3, 4: 9}, "s2"),
-            ("1^3 4 5^8", (0, 5, 4, 12, 8, 3, 11, 10, 2, 7, 6, 1, 9),
-             {1: 8, 4: 11, 5: 4}, "s3"),
-            ("1^6 2^5 3", (0, 1, 2, 3, 4, 5, 7, 9, 6, 8, 10, 12, 11),
-             {1: 0, 2: 11, 3: 8}, "s4"),
-            ("2^3 3^6 4^3", (0, 2, 4, 1, 10, 7, 11, 8, 5, 3, 12, 9, 6),
-             {2: 6, 3: 3, 4: 10}, "s5"),
-            ("2^3 3^8 4", (0, 2, 5, 8, 4, 7, 10, 12, 9, 6, 3, 1, 11),
-             {2: 1, 3: 11, 4: 7}, "s6"),
-            ("2^4 3^5 4^3", (0, 2, 4, 1, 11, 7, 5, 8, 10, 6, 3, 12, 9),
-             {2: 12, 3: 3, 4: 9}, "s7"),
-            ("2^4 3^6 4^2", (0, 2, 4, 1, 11, 8, 5, 3, 12, 9, 7, 10, 6),
-             {2: 6, 3: 3, 4: 9}, "s8"),
-            ("1^3 4 5^9", (0, 5, 10, 11, 6, 1, 2, 7, 12, 3, 13, 4, 9, 8),
-             {1: 12, 4: 7, 5: 8}, "s9"),
-            ("1^3 4 5^10", (0, 5, 10, 9, 4, 14, 13, 3, 8, 7, 2, 12, 1, 11, 6),
-             {1: 11, 4: 5, 5: 6}, "s10"),
+            "1^2 2^4 3^2 | 0 1 3 2 8 6 4 7 5 | 1:8 2:2 3:6 | s0",
+            "1^3 4 5^7 | 1 6 7 2 9 10 3 8 0 5 4 11 | 1:8 4:11 5:4 | s1",
+            "1 2^2 3^6 4^3 | 0 1 4 2 11 8 5 3 12 9 6 10 7 | 1:5 2:12 3:3 4:9 | s2",
+            "1^3 4 5^8 | 0 5 4 12 8 3 11 10 2 7 6 1 9 | 1:8 4:11 5:4 | s3",
+            "1^6 2^5 3 | 0 1 2 3 4 5 7 9 6 8 10 12 11 | 1:0 2:11 3:8 | s4",
+            "2^3 3^6 4^3 | 0 2 4 1 10 7 11 8 5 3 12 9 6 | 2:6 3:3 4:10 | s5",
+            "2^3 3^8 4 | 0 2 5 8 4 7 10 12 9 6 3 1 11 | 2:1 3:11 4:7 | s6",
+            "2^4 3^5 4^3 | 0 2 4 1 11 7 5 8 10 6 3 12 9 | 2:12 3:3 4:9 | s7",
+            "2^4 3^6 4^2 | 0 2 4 1 11 8 5 3 12 9 7 10 6 | 2:6 3:3 4:9 | s8",
+            "1^3 4 5^9 | 0 5 10 11 6 1 2 7 12 3 13 4 9 8 | 1:12 4:7 5:8 | s9",
+            "1^3 4 5^10 | 0 5 10 9 4 14 13 3 8 7 2 12 1 11 6 | 1:11 4:5 5:6 | s10",
         ],
     ],
 )
@@ -698,11 +635,10 @@ _entries(
     "stable",
     [
         [
-            ("1 2^3 3", (1, 4, 0, 2, 3, 5), {1: 0, 2: 4}, "st1"),
-            ("1 2^3 3^2 4^3", (9, 3, 4, 1, 7, 5, 8, 0, 2, 6),
-             {2: 8, 3: 3}, "st2"),
-            ("1 2^3 3^4 4", (6, 4, 7, 1, 3, 0, 8, 9, 2, 5), {3: 2}, "st3"),
-            ("1 2^2 3^4 4^2", (0, 6, 4, 7, 1, 8, 5, 3, 2, 9), {3: 6}, "st4"),
+            "1 2^3 3 | 1 4 0 2 3 5 | 1:0 2:4 | st1",
+            "1 2^3 3^2 4^3 | 9 3 4 1 7 5 8 0 2 6 | 2:8 3:3 | st2",
+            "1 2^3 3^4 4 | 6 4 7 1 3 0 8 9 2 5 | 3:2 | st3",
+            "1 2^2 3^4 4^2 | 0 6 4 7 1 8 5 3 2 9 | 3:6 | st4",
         ],
     ],
 )
@@ -712,25 +648,30 @@ _entries(
     "demo",
     [
         [
-            ("1 2^2 3^4 4", (6, 4, 3, 0, 7, 1, 5, 2, 8), {3: 2}, "demo-9"),
+            "1 2^2 3^4 4 | 6 4 3 0 7 1 5 2 8 | 3:2 | demo-9",
             # also 1-growable at 9
-            ("1^4 2 3^8 4", (0, 3, 6, 2, 1, 13, 10, 11, 14, 12, 9, 8, 5, 4, 7),
-             {1: 8, 2: 3, 3: 11, 4: 5}, "demo-15"),
+            "1^4 2 3^8 4 | 0 3 6 2 1 13 10 11 14 12 9 8 5 4 7 | 1:8 2:3 3:11 4:5 | demo-15",
         ],
     ],
 )
 
 
 def iter_seeds():
-    for table in SEED_TABLES.values():
-        yield from table
+    for table_id in SEED_TABLES:
+        yield from table(table_id)
 
 
 def table(table_id: str) -> tuple[SeedEntry, ...]:
-    try:
-        return SEED_TABLES[table_id]
-    except KeyError:
-        raise KeyError(f"no-such-seed table: {table_id}") from None
+    """Table table_id's entries in source order, parsed on first use;
+    every later call returns the same tuple."""
+    entries = _parsed.get(table_id)
+    if entries is None:
+        try:
+            blocks = SEED_TABLES[table_id]
+        except KeyError:
+            raise KeyError(f"no-such-seed table: {table_id}") from None
+        entries = _parsed.setdefault(table_id, _parse_table(table_id, blocks))
+    return entries
 
 
 def failures(entries) -> list[tuple[SeedEntry, str]]:

@@ -325,6 +325,18 @@ def test_path_json_rejects_bools(capsys):
     assert code == EXIT_USAGE and err.startswith("error:")
 
 
+def test_bad_path_error_names_one_label(capsys):
+    # a 10^4-vertex path with one repeat: the error line names the
+    # repeated label, not all 10^4 of them
+    bad = json.dumps([*range(9_999), 17])
+    code, out, err = run(capsys, "verify", "--path", bad, "--multiset", "1")
+    assert code == EXIT_USAGE and out == ""
+    assert err == (
+        "error: not a permutation of 0..9999: label 17 at index 9999 is "
+        "repeated\n"
+    )
+
+
 G1 = "[6, 5, 1, 4, 0, 3, 2]"
 
 

@@ -84,10 +84,16 @@ def test_edge_length():
 
 
 def test_hampath_validation():
-    with pytest.raises(PathError):
-        HamPath.of([0, 1, 1])
-    with pytest.raises(PathError):
-        HamPath.of([0, 2])
+    for vertices, why in (
+        ([0, 1, 1], "label 1 at index 2 is repeated"),
+        ([0, 2], "label 2 at index 1 is out of range"),
+        ([-1, 0], "label -1 at index 0 is out of range"),
+        ([0, 0.5], "label 1 is missing"),
+    ):
+        with pytest.raises(PathError) as info:
+            HamPath.of(vertices)
+        v = len(vertices)
+        assert str(info.value) == f"not a permutation of 0..{v - 1}: {why}"
     p = HamPath.of([0, 2, 1])
     assert p.v == 3
 

@@ -1,5 +1,8 @@
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -35,10 +38,73 @@ def test_table_ids():
         "stable",
         "demo",
     ]
-    for tid, entries in seeds.SEED_TABLES.items():
+    for tid in seeds.SEED_TABLES:
+        entries = seeds.table(tid)
         assert entries and seeds.table(tid) is entries, tid
     with pytest.raises(KeyError):
         seeds.table("nope")
+
+
+def test_import_parses_no_table():
+    """import bhr parses no row; one solve() parses the tables of its
+    driver row and no other.  Run in a fresh interpreter, where no
+    test has asked for a table yet."""
+    code = (
+        "import bhr\n"
+        "from bhr import seeds, solvers\n"
+        "print(sorted(seeds._parsed))\n"
+        "print(bhr.solve(bhr.LengthMultiset.parse('1 2^4 3^6')).status)\n"
+        "print(sorted(seeds._parsed))\n"
+        "print(sorted(solvers._DRIVERS[1, 2, 3].table_ids))\n"
+    )
+    src = str(Path(seeds.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-B", "-c", code],
+        capture_output=True,
+        check=True,
+        cwd=src,
+        text=True,
+    )
+    before, status, after, driver_tables = run.stdout.splitlines()
+    assert before == "[]"
+    assert status == "solved"
+    assert after == driver_tables
+
+
+def test_rows_print_back_to_their_text():
+    for tid, blocks in seeds.SEED_TABLES.items():
+        rows = [text for block in blocks for text in block]
+        entries = seeds.table(tid)
+        assert len(rows) == len(entries), tid
+        for text, entry in zip(rows, entries):
+            multiset, path, points, variant = seeds.parse_row(text)
+            assert (multiset, path, points) == (
+                entry.multiset, entry.path, entry.declared_grow_points
+            )
+            assert variant in (None, entry.variant)
+            assert seeds.format_row(multiset, path, points, variant) == text
+
+
+@pytest.mark.parametrize(
+    "text, why",
+    [
+        ("1 2^3 3 | 1 4 0 2 3 5", "need 3 or 4 non-empty fields"),
+        ("1 2^3 3 | 1 4 0 2 3 5 | 1:0 | st1 | x", "need 3 or 4 non-empty"),
+        ("1 2^3 3 | 1 4 0 2 3 5 |  | st1", "need 3 or 4 non-empty fields"),
+        ("1 2^3 3 | 1 4 zero 2 3 5 | 1:0", "invalid literal for int()"),
+        ("1 2^3 3 | 1 4 0 2 3 3 | 1:0", "not a permutation of 0..5: label 3"),
+        ("1 2^3 3^ | 1 4 0 2 3 5 | 1:0", "bad multiset token '3^'"),
+        ("1 2^3 3 | 1 4 0 2 3 5 | 1=0", "bad grow point '1=0', need x:m"),
+        ("1 2^3 3 | 1 4 0 2 3 5 | 1:a", "bad grow point '1:a', need x:m"),
+        ("1 2^3 3 | 1 4 0 2 3 5 | 1:0 1:4", "grow point 1:4 repeats or"),
+        ("1 2^3 3 | 1 4 0 2 3 5 | 2:4 1:0", "grow point 1:0 repeats or"),
+    ],
+)
+def test_malformed_row_names_table_and_row(text, why):
+    good = "1 2^3 3 | 1 4 0 2 3 5 | 1:0 2:4"
+    with pytest.raises(ValueError) as info:
+        seeds._parse_table("t", [[good], [good, text]])
+    assert str(info.value).startswith(f"seed table t row 2: {why}")
 
 
 def test_repeated_table_id_raises():

@@ -12,9 +12,10 @@ base, the least multiset from which grows at the family's x values
 reach every member, under SearchConfig seeds 0, 1, 2, ..., takes one
 grow point per x the family varies from growth_points, and keeps the
 first choice that survives every schedule with counts below LIMIT (12,
-as in tests/test_seeds.py).  It prints that realization as a row of the
-`stable` table, (multiset, path, points, name), with the seed and CPU
-time it took.
+as in tests/test_seeds.py).  It prints that realization as a source line
+of the `stable` table, the row text `seeds.format_row` makes,
+"<multiset> | <path> | <x:m ...> | <name>", with the seed and CPU time
+it took.
 
 Every step is deterministic, so two runs print the same rows.  Stdlib
 only.
@@ -37,6 +38,7 @@ from bhr.core import (  # noqa: E402
 )
 from bhr.growth import GrowthSchedule, multi_grow  # noqa: E402
 from bhr.search import SearchConfig, local_search  # noqa: E402
+from bhr.seeds import format_row  # noqa: E402
 
 LIMIT = 12
 SEARCH_SEEDS = range(60)
@@ -90,10 +92,8 @@ def find(base: str, xs):
 
 
 def row(name: str, cert: Certificate) -> str:
-    """cert as a row of the `stable` table: (multiset, path, points,
-    name), the points {x: m} in ascending x."""
-    points = dict(sorted((gp.x, gp.m) for gp in cert.grow_points))
-    return f'("{cert.multiset}", {cert.path.vertices}, {points}, "{name}"),'
+    """cert as the text of the `stable` row named name."""
+    return format_row(cert.multiset, cert.path, cert.grow_points, name)
 
 
 def main() -> int:
@@ -110,7 +110,7 @@ def main() -> int:
             continue
         rng_seed, cert = found
         print(f"# SearchConfig seed {rng_seed}, {cpu:.3f} CPU s")
-        print(row(name, cert))
+        print(f'"{row(name, cert)}",')
     return 1 if missing else 0
 
 
