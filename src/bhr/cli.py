@@ -7,8 +7,8 @@ a short human-readable summary.  Exit codes: 0 success, 1 usage error,
 2 not admissible, 3 out of proven range, 4 search failure,
 5 verification failure, 141 stdout closed by its reader.  A command
 returns a Certificate for main to print, or prints and returns an exit
-code; the growth commands take the Certificate read from --path and
---multiset.
+code; either way stdout is written by _emit alone.  The growth
+commands take the Certificate read from --path and --multiset.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .core import (
     HamPath,
     LengthMultiset,
     MultisetError,
-    NotGrowableError,
     PathError,
+    certificate,
     check_realization,
     cyclic_lengths,
     growth_points,
@@ -72,7 +72,8 @@ def _parse_path(text: str) -> HamPath:
 
 
 def _emit(args, payload: dict, *lines: str) -> None:
-    """Print payload as a JSON document, or else the human lines."""
+    """Print payload as a JSON document, or else the human lines: the
+    one writer of every command's stdout."""
     if args.json:
         print(json.dumps({"schema": 1, **payload}))
     else:
@@ -80,17 +81,16 @@ def _emit(args, payload: dict, *lines: str) -> None:
             print(line)
 
 
-def _emit_cert(args, cert: Certificate) -> None:
-    if args.json:
-        print(cert.to_json())
-    else:
-        print(f"path: {list(cert.path.vertices)}")
-        print(f"multiset: {cert.multiset}")
-        if cert.grow_points:
-            pts = ", ".join(f"({g.x},{g.m})" for g in cert.grow_points)
-            print(f"grow points: {pts}")
-        for name, params in cert.trace:
-            print(f"  {name} {plain_params(params)}")
+def _trace_lines(trace) -> list[str]:
+    return [f"  {name} {plain_params(params)}" for name, params in trace]
+
+
+def _cert_lines(cert: Certificate) -> list[str]:
+    lines = [f"path: {list(cert.path.vertices)}", f"multiset: {cert.multiset}"]
+    if cert.grow_points:
+        pts = ", ".join(f"({g.x},{g.m})" for g in cert.grow_points)
+        lines.append(f"grow points: {pts}")
+    return lines + _trace_lines(cert.trace)
 
 
 def _cert_from_args(args) -> Certificate:
@@ -100,9 +100,7 @@ def _cert_from_args(args) -> Certificate:
         if args.multiset
         else cyclic_lengths(path)
     )
-    return Certificate(
-        path=path, multiset=ms, grow_points=tuple(growth_points(path))
-    )
+    return certificate(path, ms, growth_points(path))
 
 
 def cmd_verify(args) -> int:
@@ -178,15 +176,12 @@ def cmd_solve(args) -> int:
         cfg=cfg,
         brute_cap=_default_brute_cap(),
     )
-    if args.json:
-        print(json.dumps(out.to_dict()))
-    else:
-        print(f"status: {out.status}")
-        if args.trace or out.certificate is None:
-            for name, params in out.trace:
-                print(f"  {name} {plain_params(params)}")
-        if out.certificate:
-            _emit_cert(args, out.certificate)
+    lines = [f"status: {out.status}"]
+    if args.trace or out.certificate is None:
+        lines += _trace_lines(out.trace)
+    if out.certificate:
+        lines += _cert_lines(out.certificate)
+    _emit(args, out.to_dict(), *lines)
     if out.ok:
         return EXIT_OK
     return _SOLVE_FAILED.get(out.status, EXIT_SEARCH_FAILED)
@@ -354,12 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true")
     p.add_argument("--seed", type=int, default=0)
 
+    budget = search.SearchConfig()
     p = add("search", cmd_search, help="randomized local search")
     p.add_argument("multiset")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=200)
+    p.add_argument("--restarts", type=int, default=budget.max_restarts)
     stagnant = "restart after this many steps in a row without a gain"
-    p.add_argument("--steps", type=int, default=2000, help=stagnant)
+    p.add_argument(
+        "--steps", type=int, default=budget.max_steps_per_restart,
+        help=stagnant,
+    )
 
     p = add("oracle", cmd_oracle, help="exhaustive search (definitive)")
     p.add_argument("multiset")
@@ -390,10 +389,11 @@ def main(argv=None) -> int:
     try:
         result = args.fn(args)
         if isinstance(result, Certificate):
-            _emit_cert(args, result)
+            _emit(args, result.to_dict(), *_cert_lines(result))
             result = EXIT_OK
         sys.stdout.flush()
-    except (MultisetError, PathError, NotGrowableError, ValueError) as exc:
+    except ValueError as exc:
+        # MultisetError, PathError and NotGrowableError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (MemoryError, OverflowError) as exc:

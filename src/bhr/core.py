@@ -22,7 +22,6 @@ Conventions that are easy to get wrong:
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
@@ -307,7 +306,16 @@ def check_realization(path: HamPath, ms: LengthMultiset) -> tuple[bool, str]:
         return False, f"order mismatch: path has {path.v} vertices, need {ms.v}"
     realized = cyclic_lengths(path)
     if realized != ms:
-        return False, f"multiset mismatch: path realizes {realized}"
+        # name one length, so the message stays short at any v
+        have, need = realized.counts(), ms.counts()
+        length = min(
+            l for l in have.keys() | need.keys()
+            if have.get(l, 0) != need.get(l, 0)
+        )
+        return False, (
+            f"multiset mismatch: path has count {have.get(length, 0)} "
+            f"of length {length}, need {need.get(length, 0)}"
+        )
     return True, "ok"
 
 
@@ -471,28 +479,21 @@ class Certificate:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
-        return cls(
-            path=HamPath.of(data["path"]),
-            multiset=LengthMultiset.parse(data["multiset"]),
-            grow_points=tuple(GrowPoint(x, m) for x, m in data["grow_points"]),
-            trace=tuple(
-                (name, trace_params(**params))
-                for name, params in data.get("trace", [])
-            ),
+        """The certificate a to_dict document describes, checked anew."""
+        return certificate(
+            data["path"],
+            LengthMultiset.parse(data["multiset"]),
+            data["grow_points"],
+            data.get("trace", ()),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Certificate":
-        return cls.from_dict(json.loads(text))
 
 
 def certificate(path, counts_or_ms, grow_points=(), trace=()) -> Certificate:
-    """Convenience constructor from raw sequences / count maps."""
+    """The one constructor from raw data: a vertex sequence, a count map
+    or LengthMultiset, (x, m) pairs and (name, params) trace entries,
+    whose params are made read-only."""
     if isinstance(counts_or_ms, LengthMultiset):
         ms = counts_or_ms
     else:
@@ -503,4 +504,5 @@ def certificate(path, counts_or_ms, grow_points=(), trace=()) -> Certificate:
         gp if isinstance(gp, GrowPoint) else GrowPoint(*gp)
         for gp in grow_points
     )
-    return Certificate(path, ms, gps, tuple(trace))
+    steps = tuple((name, trace_params(**params)) for name, params in trace)
+    return Certificate(path, ms, gps, steps)

@@ -16,14 +16,7 @@ from __future__ import annotations
 
 import functools
 
-from .core import (
-    Certificate,
-    GrowPoint,
-    HamPath,
-    LengthMultiset,
-    alternating_runs,
-    trace_params,
-)
+from .core import Certificate, alternating_runs, certificate
 
 
 def _params(x: int, b: int) -> tuple[int, int]:
@@ -47,12 +40,7 @@ def _params(x: int, b: int) -> tuple[int, int]:
 
 
 def _cert(seq, counts, points) -> Certificate:
-    return Certificate(
-        path=HamPath.of(seq),
-        multiset=LengthMultiset.from_counts(counts),
-        grow_points=tuple(GrowPoint(x, m) for x, m in points),
-        trace=(("family", trace_params(v=len(seq))),),
-    )
+    return certificate(seq, counts, points, [("family", {"v": len(seq)})])
 
 
 def _basic(x: int, b: int) -> Certificate:

@@ -188,11 +188,7 @@ def _swap_plan(seed_counts, target, x):
     a, b, c = target
     if a < a1 or c < c1 or (c - c1) % 2:
         return None
-    i = ((c - c1) // 2) % x
-    rest = c - c1 - 2 * i
-    if rest < 0 or rest % (2 * x):
-        return None
-    full = rest // (2 * x)
+    full, i = divmod((c - c1) // 2, x)
     b_after = b1 + (3 * x - 2 * i if i else 0) + x * full
     if b < b_after or (b - b_after) % x:
         return None

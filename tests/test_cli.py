@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import bhr
-from bhr import search, solvers
+from bhr import families, search, solvers
 from bhr.cli import (
     EXIT_NOT_ADMISSIBLE,
     EXIT_OK,
@@ -15,6 +16,7 @@ from bhr.cli import (
     EXIT_PIPE_CLOSED,
     EXIT_SEARCH_FAILED,
     EXIT_USAGE,
+    EXIT_VERIFY_FAILED,
     main,
 )
 
@@ -40,6 +42,16 @@ def test_verify_failure_exit_code(capsys):
         capsys, "verify", "--path", DEMO9, "--multiset", "1^8"
     )
     assert code == 5
+
+
+def test_verify_mismatch_is_one_short_line(capsys):
+    path = list(range(10000))
+    random.Random(0).shuffle(path)
+    code, out, _ = run(
+        capsys, "verify", "--path", json.dumps(path), "--multiset", "1^9999"
+    )
+    assert code == EXIT_VERIFY_FAILED
+    assert len(out.splitlines()) == 1 and len(out.encode()) < 200
 
 
 def test_admissible(capsys):
@@ -425,6 +437,47 @@ def test_even_grow(capsys):
     )
     assert (code, out) == (EXIT_USAGE, "")
     assert err == "error: certificate has no 2-grow point\n"
+
+
+def test_search_defaults_are_search_configs(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        search, "local_search", lambda ms, cfg: seen.append(cfg)
+    )
+    assert run(capsys, "search", "1^2 2 3^3")[0] == EXIT_SEARCH_FAILED
+    assert seen == [search.SearchConfig(rng_seed=0)]
+
+
+@pytest.mark.parametrize(
+    "owner, name, argv",
+    [
+        (bhr.growth, "grow", ("grow", "--path", DEMO9, "--at", "3,2")),
+        (
+            bhr.growth,
+            "x2x_swap",
+            ("x2x", "--path", "[6, 5, 1, 4, 0, 3, 2]", "--x", "3", "--i", "2"),
+        ),
+        (families, "construct_1x", ("family", "--x", "8", "--b", "13")),
+        (solvers, "solve", ("solve", "1^5 2^6 3^9")),
+    ],
+)
+def test_json_is_the_returned_objects_document(
+    capsys, monkeypatch, owner, name, argv
+):
+    """Each --json document is the schema-1 to_dict of what the command
+    computed, printed by the one writer."""
+    made = []
+    real = getattr(owner, name)
+
+    def keep(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(owner, name, keep)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    [obj] = made
+    assert out == json.dumps({"schema": 1, **obj.to_dict()}) + "\n"
 
 
 def test_search_failure_exit_codes(capsys):

@@ -1,9 +1,13 @@
 import json
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import bhr
 from bhr.core import (
     Certificate,
     GrowPoint,
@@ -312,20 +316,41 @@ def test_certificate_roundtrip():
         grow_points=[(3, 2)],
         trace=[("seed", {"table": "demo"})],
     )
-    again = Certificate.from_json(cert.to_json())
+    data = json.loads(json.dumps(cert.to_dict()))
+    again = Certificate.from_dict(data)
     assert again == cert
     with pytest.raises(TypeError):
         again.trace[0][1]["table"] = "edited"
+    with pytest.raises(TypeError):
+        cert.trace[0][1]["table"] = "edited"
     cert.to_dict()["trace"][0][1]["table"] = "edited"
     assert cert.trace == (("seed", {"table": "demo"}),)
-    data = json.loads(cert.to_json())
     assert data["schema"] == 1
     assert data["multiset"] == "1 2^2 3^4 4"
+
+
+def test_import_leaves_json_out():
+    """import bhr loads no JSON module: only the CLI prints documents.
+    Run in a fresh interpreter, where no test has imported json yet."""
+    code = "import sys, bhr\nprint('json' in sys.modules)\n"
+    src = str(Path(bhr.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-B", "-c", code],
+        capture_output=True,
+        check=True,
+        cwd=src,
+        text=True,
+    )
+    assert run.stdout == "False\n"
 
 
 def test_certificate_rejects_lies():
     with pytest.raises(PathError):
         certificate([0, 1, 2], {1: 3})
+    # a multiset mismatch names one length, however long the path
+    why = "multiset mismatch: path has count 1 of length 1, need 8"
+    with pytest.raises(PathError, match=f"verify: {why}$"):
+        certificate([6, 4, 3, 0, 7, 1, 5, 2, 8], {1: 8})
     with pytest.raises(NotGrowableError):
         certificate(
             [6, 4, 3, 0, 7, 1, 5, 2, 8],
