@@ -20,7 +20,7 @@ an uncertified _Chain, which relocates the points without checking
 them; a later step that grows at one of them checks it then, in
 window_endpoints, and a step that finds no tracked point for its x
 raises.  Each operation is one chain step, multi_grow runs its whole
-schedule on one chain, and so does the solvers' swap pipeline.  A chain
+schedule on one chain, and so does each answer the solvers grow.  A chain
 ends in one Certificate: it verifies the final path against the
 expected multiset, checks each relocated point once as a carried point,
 keeping those that hold and dropping those that fail, and raises if a
@@ -204,6 +204,8 @@ class _Chain:
 
     def swap(self, x: int, i: int, k: int) -> "_Chain":
         """k x/2x swaps at the tracked x-point; see x2x_swap."""
+        if x < 1:
+            raise NotGrowableError(f"x must be positive, got {x}")
         if not (0 <= i <= x):
             raise NotGrowableError(f"i={i} out of range 0..{x}")
         if k < 0:

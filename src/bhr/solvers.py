@@ -10,27 +10,32 @@ is searched only when fallback is requested.  The search runs
 local_search, then brute_force under brute_cap.
 
 solve() takes its driver from one table, _DRIVERS, by the underlying
-set U.  A row names a seed source, (trace label, Certificate) pairs, and
-an engine, or cites the external-theorem region:
+set U.  A row is data: a tuple of seed-table ids, replayed in order; a
+string, the external-theorem region it cites; or {a: row}, a choice by
+the number a of 1s that cites region A for any other a.  Only the two
+swap rows are functions: they check their proven range first.  Every row
+that grows seeds runs one engine, _grow_first, over (trace label,
+Certificate) pairs with a plan: _schedule_for grows each length in
+ascending order, and _swaps_for makes x/2x swaps, then x- and 1-grows.
 
-  {1,2,3}, {1,4,5}, {2,3,4}  _replay over the row's seed tables
-  {1,3,4}, {1,2,3,4}         by the number a of 1s: _replay when a = 1,
-                             or a = 2 over {1,3,4}; else cited
+  {1,2,3}, {1,4,5}, {2,3,4}  replay over the row's seed tables
+  {1,3,4}, {1,2,3,4}         by a: replay when a = 1, or a = 2 over
+                             {1,3,4}; else cited
   {1,2,4}, |U| <= 2          cited
-  {1,3,6}                    _swap_pipeline from the u136 g-seeds
-  {1,x,2x}, x >= 4           _swap_pipeline from the residue seed
+  {1,3,6}                    swaps from the u136 g-seeds
+  {1,x,2x}, x >= 4           swaps from the residue seed
   any other U                out_of_proven_range: no driver
 
-_route keys |U| <= 2 and every {1,x,2x} by rule.  The swap rows check
-their proven range first.  solve_136 and solve_1x2x run those drivers
-on the multiplicities they take, even with no 2x's, where solve() sees
-a set of size 2 and cites the region.
+_route is the one reader of the table; it keys |U| <= 2 and every
+{1,x,2x} by rule.  solve_136 and solve_1x2x run the swap drivers on
+the multiplicities they take, even with no 2x's, where solve() sees a
+set of size 2 and cites the region.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache
 
 from .core import (
     Admissibility,
@@ -42,7 +47,7 @@ from .core import (
     plain_params,
 )
 from .families import seed_for_residue
-from .growth import GrowthSchedule, _Chain, multi_grow
+from .growth import GrowthSchedule, _Chain
 from .search import brute_force, local_search
 from . import seeds as seed_tables
 
@@ -116,8 +121,8 @@ def _answer(
 
 
 def _schedule_for(seed: Certificate, target: dict[int, int]):
-    """Grow schedule taking the seed to the target, or None if the
-    seed does not subsume it."""
+    """The replay plan: grows taking the seed to the target, each x in
+    ascending order, or None if the seed does not subsume it."""
     seed_counts = seed.multiset.counts()
     points = {gp.x for gp in seed.grow_points}
     sched = []
@@ -129,50 +134,7 @@ def _schedule_for(seed: Certificate, target: dict[int, int]):
             if x not in points:
                 return None
             sched.append((x, d // x))
-    return sched
-
-
-def _replay(ms: LengthMultiset, seeds) -> Step:
-    """Grow the first of the (label, seed) pairs that subsumes ms by
-    its fixed ascending schedule, skipping a seed whose schedule breaks
-    a point it still needs.  When none works the step is out of range,
-    and names the first subsuming seed whose schedule broke, if one
-    did."""
-    target = ms.counts()
-    broke = None
-    for label, seed in seeds:
-        sched = _schedule_for(seed, target)
-        if sched is None:
-            continue
-        try:
-            cert = multi_grow(seed, GrowthSchedule(tuple(sched)))
-        except NotGrowableError:
-            broke = broke or " ".join(label.values())
-            continue
-        return "replay", {**label, "schedule": sched}, cert
-    why = f"fixed schedule broke on {broke}" if broke else "no subsuming seed"
-    return _OUT_OF_RANGE, {"why": why}, None
-
-
-class _Row:
-    """A row of _DRIVERS over seed tables: called, it is the driver
-    engine(ms, seeds), _replay unless named.  Its seed source, seeds,
-    pairs each entry of the tables, in table order, with its own seed
-    step {table, variant} as its trace label; it is built on first use."""
-
-    def __init__(self, *table_ids, engine=_replay):
-        self.table_ids, self.engine = table_ids, engine
-
-    @cached_property
-    def seeds(self) -> tuple:
-        return tuple(
-            (entry.certificate.trace[0][1], entry.certificate)
-            for tid in self.table_ids
-            for entry in seed_tables.table(tid)
-        )
-
-    def __call__(self, ms) -> Step:
-        return self.engine(ms, self.seeds)
+    return "replay", {"schedule": sched}, (), sched
 
 
 def _mults(ms: LengthMultiset, *lengths: int) -> tuple[int, ...]:
@@ -181,7 +143,7 @@ def _mults(ms: LengthMultiset, *lengths: int) -> tuple[int, ...]:
 
 
 def _swap_plan(seed_counts, target, x):
-    """Arithmetic for the swap pipelines: from seed multiplicities of
+    """Arithmetic for the swap plans: from seed multiplicities of
     {1, x, 2x}, compute (i, full_swaps, x_grows, one_grows) reaching the
     target multiplicities, or None."""
     a1, b1, c1 = seed_counts
@@ -195,51 +157,84 @@ def _swap_plan(seed_counts, target, x):
     return i, full, (b - b_after) // x, a - a1
 
 
-def _swap_pipeline(ms, seeds, x, miss) -> Step:
-    """Grow the first of the (label, seed) pairs that reaches ms by x/2x
-    swaps, then x-grows and 1-grows; out of range for miss when none
-    does.  The swaps and grows run on one chain, so each answer is
-    checked by one Certificate."""
-    target = _mults(ms, 1, x, 2 * x)
+def _swaps_for(seed: Certificate, target, x: int):
+    """The swap plan: one partial swap of i runs, every full swap in one
+    k-fold step, then x-grows and 1-grows, taking the seed to the target
+    multiplicities of {1, x, 2x}; or None."""
+    plan = _swap_plan(_mults(seed.multiset, 1, x, 2 * x), target, x)
+    if plan is None:
+        return None
+    i, full, x_grows, one_grows = plan
+    swaps = [(x, i, 1)] * (i > 0) + [(x, x, full)] * (full > 0)
+    params = dict(i=i, full_swaps=full, x_grows=x_grows, one_grows=one_grows)
+    return "swap-pipeline", params, swaps, ((x, x_grows), (1, one_grows))
+
+
+def _grow_first(seeds, plan, miss=None) -> Step:
+    """Grow the first of the (label, seed) pairs that plan fits: plan(seed)
+    gives the step name, its params, the swaps (x, i, k) and the grow
+    schedule, or None.  They run on one chain, so each answer is checked
+    by one Certificate, and a plan that grows nothing answers with the
+    seed itself.  A seed whose chain raises NotGrowableError is skipped.
+    When none works the step is out of range for miss; a replay row
+    passes no miss and names the first fitting seed that broke, if one
+    did."""
+    broke = None
     for label, seed in seeds:
-        plan = _swap_plan(_mults(seed.multiset, 1, x, 2 * x), target, x)
-        if plan is None:
+        fit = plan(seed)
+        if fit is None:
             continue
-        i, full, x_grows, one_grows = plan
+        name, params, swaps, schedule = fit
         chain = _Chain(seed)
         try:
-            if i:
-                chain.swap(x, i, 1)
-            if full:
-                chain.swap(x, x, full)
-            chain.multi_grow(GrowthSchedule(((x, x_grows), (1, one_grows))))
-            cert = chain.certify("swap pipeline") if any(plan) else seed
+            for x, i, k in swaps:
+                chain.swap(x, i, k)
+            chain.multi_grow(GrowthSchedule(tuple(schedule)))
+            grew = len(chain.trace) > len(seed.trace)
+            cert = chain.certify(name) if grew else seed
         except NotGrowableError:
+            broke = broke or label
             continue
-        step = dict(
-            label, i=i, full_swaps=full, x_grows=x_grows, one_grows=one_grows
-        )
-        return "swap-pipeline", step, cert
+        return name, {**label, **params}, cert
+    if miss is None:
+        miss = "no subsuming seed"
+        if broke:
+            miss = f"fixed schedule broke on {' '.join(broke.values())}"
     return _OUT_OF_RANGE, {"why": miss}, None
 
 
+@cache
+def _seeds(table_ids: tuple[str, ...]) -> tuple:
+    """The seed source of a row: each entry of the tables, in table
+    order, paired with its own seed step {table, variant} as its trace
+    label.  A table is parsed the first time a row needs it."""
+    return tuple(
+        (entry.certificate.trace[0][1], entry.certificate)
+        for tid in table_ids
+        for entry in seed_tables.table(tid)
+    )
+
+
 def solve_136(a: int, b: int, c: int) -> SolveOutcome:
-    """{1^a, 3^b, 6^c} via the g-seed swap pipeline.
+    """{1^a, 3^b, 6^c} via the g-seed swap plan.
 
     Proven range: a >= 1 and b >= 13 + c/2 (even c) or
     b >= 18 + (c-1)/2 (odd c).
     """
     ms = LengthMultiset.from_counts({1: a, 3: b, 6: c})
-    return _answer(ms, _DRIVERS[1, 3, 6])
+    return _answer(ms, _u136)
 
 
-def _u136(ms, seeds) -> Step:
-    a, b, c = _mults(ms, 1, 3, 6)
+def _u136(ms) -> Step:
+    target = a, b, c = _mults(ms, 1, 3, 6)
     bound = 13 + c // 2 if c % 2 == 0 else 18 + (c - 1) // 2
     if a < 1 or b < bound:
         return _OUT_OF_RANGE, {"why": f"need a >= 1 and b >= {bound}"}, None
-    g_seeds = (({"seed": step["variant"]}, seed) for step, seed in seeds)
-    return _swap_pipeline(ms, g_seeds, 3, "no g-seed fits")
+    g_seeds = (
+        ({"seed": label["variant"]}, seed) for label, seed in _seeds(_G_SEEDS)
+    )
+    miss = "no g-seed fits"
+    return _grow_first(g_seeds, lambda s: _swaps_for(s, target, 3), miss)
 
 
 def solve_1x2x(a: int, b: int, c: int, x: int) -> SolveOutcome:
@@ -254,7 +249,7 @@ def solve_1x2x(a: int, b: int, c: int, x: int) -> SolveOutcome:
 
 
 def _u1x2x(ms, x) -> Step:
-    a, b, c = _mults(ms, 1, x, 2 * x)
+    target = a, b, c = _mults(ms, 1, x, 2 * x)
     if c % 2 or a < x - 2 or b < 5 * x - 2 + c // 2:
         why = f"need a >= {x - 2}, even c, b >= {5 * x - 2 + c // 2}"
         return _OUT_OF_RANGE, {"why": why}, None
@@ -264,33 +259,25 @@ def _u1x2x(ms, x) -> Step:
     # clears it, so a refusal means the instance slipped outside the
     # argument
     seeds = (({"seed_b": seed.multiset.multiplicity(x)}, seed),)
-    return _swap_pipeline(ms, seeds, x, "seed multiplicities not subsumed")
+    miss = "seed multiplicities not subsumed"
+    return _grow_first(seeds, lambda s: _swaps_for(s, target, x), miss)
 
 
-def _cited(why, ms) -> Step:
-    return _EXTERNAL, {"why": why}, None
-
-
-def _by_ones(choices, ms) -> Step:
-    return choices.get(ms.multiplicity(1), _REGION_A)(ms)
-
-
-_REGION_A = partial(_cited, "a >= 3 or (a = 2, b >= 1) region")
-_U1234_A1 = _Row("u134", "u1234-beven", "u1234-bodd", "supplement", "stable")
+_G_SEEDS = ("u136",)  # the seed tables _u136 swaps from
+_REGION_A = "a >= 3 or (a = 2, b >= 1) region"
+_U1234_A1 = ("u134", "u1234-beven", "u1234-bodd", "supplement", "stable")
 _DRIVERS = {
-    (1, 2, 3): _Row("u123-main", "u123-1g", "supplement", "stable"),
-    (1, 4, 5): _Row(
+    (1, 2, 3): ("u123-main", "u123-1g", "supplement", "stable"),
+    (1, 4, 5): (
         "u145-a2", "u145-a3", "u145-a1", "u145-4g", "inproof", "supplement"
     ),
-    (1, 2, 4): partial(_cited, "no 3's: subset of {1,2,4}"),
-    (2, 3, 4): _Row("u234-bodd", "u234-beven", "inproof", "supplement"),
-    (1, 3, 4): partial(_by_ones, {
-        1: _U1234_A1, 2: _Row("u1234-a2", "inproof", "supplement")
-    }),
-    (1, 2, 3, 4): partial(_by_ones, {1: _U1234_A1}),
-    (1, 3, 6): _Row("u136", engine=_u136),
+    (1, 2, 4): "no 3's: subset of {1,2,4}",
+    (2, 3, 4): ("u234-bodd", "u234-beven", "inproof", "supplement"),
+    (1, 3, 4): {1: _U1234_A1, 2: ("u1234-a2", "inproof", "supplement")},
+    (1, 2, 3, 4): {1: _U1234_A1},
+    (1, 3, 6): _u136,
     "{1,x,2x}": lambda ms: _u1x2x(ms, sorted(ms.underlying_set)[1]),
-    "|U| <= 2": partial(_cited, "underlying set of size <= 2"),
+    "|U| <= 2": "underlying set of size <= 2",
 }
 
 
@@ -322,10 +309,19 @@ def solve(
 
 
 def _route(ms) -> Step:
+    """The step of ms's row of _DRIVERS, the one reader of the table."""
     u = tuple(sorted(ms.underlying_set))
     key = u if len(u) > 2 else "|U| <= 2"
     if len(u) > 2 and u[1] >= 4 and u == (1, u[1], 2 * u[1]):
         key = "{1,x,2x}"
     if key not in _DRIVERS:
         return _OUT_OF_RANGE, {"why": f"no driver for U = {list(u)}"}, None
-    return _DRIVERS[key](ms)
+    row = _DRIVERS[key]
+    if isinstance(row, dict):
+        row = row.get(ms.multiplicity(1), _REGION_A)
+    if isinstance(row, str):
+        return _EXTERNAL, {"why": row}, None
+    if isinstance(row, tuple):
+        target = ms.counts()
+        return _grow_first(_seeds(row), lambda s: _schedule_for(s, target))
+    return row(ms)

@@ -1,6 +1,7 @@
-"""The four fast sets of tools/answer_digest.py, hashed here and
-compared with the digests checked in beside it.  Every family seed
-construct_1x(x, b) with x <= 50, every brute_force answer of order
+"""The six fast sets of tools/answer_digest.py, hashed here and
+compared with the digests checked in beside it.  Both swap answer sets
+(the criterion-5 solve_1x2x grid and the solve_136 grid), every family
+seed construct_1x(x, b) with x <= 50, every brute_force answer of order
 <= 11, every seed-table row and the growth operations on every seed row
 are pinned this way, so a path that moves anywhere fails."""
 
@@ -14,6 +15,8 @@ from conftest import load_tool
 @pytest.mark.parametrize(
     "name, generator",
     [
+        ("criterion-5 solve_1x2x", "criterion_5"),
+        ("solve_136 grid", "grid_136"),
         ("families construct_1x", "families"),
         ("brute_force order <= 11", "oracle"),
         ("seed tables", "seed_tables"),

@@ -324,6 +324,17 @@ def test_x2x_and_splice(capsys):
     assert json.loads(out)["multiset"] == "1^5 2^3 3^8 4"
 
 
+def test_x2x_names_a_bad_x_before_i(capsys):
+    # x is checked first: i's range 0..x means nothing for x < 1
+    g1path = "[6, 5, 1, 4, 0, 3, 2]"
+    for x, i in [("-2", "-1"), ("0", "0")]:
+        code, out, err = run(
+            capsys, "x2x", "--path", g1path, "--x", x, "--i", i
+        )
+        assert (code, out) == (EXIT_USAGE, ""), x
+        assert err == f"error: x must be positive, got {x}\n"
+
+
 def test_path_json_rejects_bools(capsys):
     # bool is an int subclass; [true, 0] must not pass for [1, 0]
     code, out, err = run(

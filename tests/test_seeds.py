@@ -55,7 +55,7 @@ def test_import_parses_no_table():
         "print(sorted(seeds._parsed))\n"
         "print(bhr.solve(bhr.LengthMultiset.parse('1 2^4 3^6')).status)\n"
         "print(sorted(seeds._parsed))\n"
-        "print(sorted(solvers._DRIVERS[1, 2, 3].table_ids))\n"
+        "print(sorted(solvers._DRIVERS[1, 2, 3]))\n"
     )
     src = str(Path(seeds.__file__).resolve().parents[1])
     run = subprocess.run(

@@ -6,6 +6,7 @@ from bhr import growth, seeds, solvers
 from bhr.core import (
     Certificate,
     LengthMultiset,
+    NotGrowableError,
     is_admissible,
     verify_realization,
 )
@@ -95,16 +96,26 @@ ROUTES = [
 ]
 
 
+class _Recording(dict):
+    """_DRIVERS that records each key _route reads a row by."""
+
+    def __init__(self, rows, reached):
+        super().__init__(rows)
+        self.reached = reached
+
+    def __getitem__(self, key):
+        self.reached.append(key)
+        return super().__getitem__(key)
+
+
 def test_solve_routes_each_underlying_set(monkeypatch):
     # one small target per row of the driver table, and per count of 1s
     # where a row picks by it; |U| <= 2 and {1,x,2x} reach their rows by
     # rule
     reached = []
-    for key, driver in list(solvers._DRIVERS.items()):
-        def spy(ms, key=key, driver=driver):
-            reached.append(key)
-            return driver(ms)
-        monkeypatch.setitem(solvers._DRIVERS, key, spy)
+    monkeypatch.setattr(
+        solvers, "_DRIVERS", _Recording(solvers._DRIVERS, reached)
+    )
     for key, text, want in ROUTES:
         reached.clear()
         out = solve(LengthMultiset.parse(text))
@@ -113,6 +124,7 @@ def test_solve_routes_each_underlying_set(monkeypatch):
         if name == "replay":
             _check_solved(out, LengthMultiset.parse(text).counts())
             assert step["table"] in want, (text, step)
+            assert want <= _named_tables(solvers._DRIVERS[key]), text
         elif name == "swap-pipeline":
             _check_solved(out, LengthMultiset.parse(text).counts())
             assert want in step, (text, step)
@@ -124,23 +136,22 @@ def test_solve_routes_each_underlying_set(monkeypatch):
     assert {key for key, _, _ in ROUTES} - {None} == set(solvers._DRIVERS)
 
 
-def _named_tables(driver):
-    """The seed tables a driver of the table names: a row's own, and
-    those of the rows a choice by the number of 1s holds."""
-    if isinstance(driver, solvers._Row):
-        return set(driver.table_ids)
-    named = set()
-    for arg in getattr(driver, "args", ()):
-        if isinstance(arg, dict):
-            for choice in arg.values():
-                named |= _named_tables(choice)
-    return named
+def _named_tables(row):
+    """The seed tables a row of the driver table names: a replay row's
+    own ids, and those of the rows a choice by the number of 1s holds."""
+    if isinstance(row, tuple):
+        return set(row)
+    if isinstance(row, dict):
+        return set().union(*map(_named_tables, row.values()))
+    return set()
 
 
 def test_driver_table_names_the_registered_tables():
     # a misspelt id would otherwise raise only when a target reached its
-    # row; every table but the demo one is some row's seed source
+    # row; every table but the demo one is some row's seed source, the
+    # g-seeds of the {1,3,6} driver included
     named = set().union(*map(_named_tables, solvers._DRIVERS.values()))
+    named |= set(solvers._G_SEEDS)
     assert named <= set(seeds.SEED_TABLES), named - set(seeds.SEED_TABLES)
     assert set(seeds.SEED_TABLES) - named == {"demo"}
 
@@ -393,17 +404,41 @@ def test_dead_end_families_replay_on_fixed_schedules():
         assert out.certificate.multiset == ms
 
 
+def _replay(table_ids, ms):
+    target = ms.counts()
+    return solvers._grow_first(
+        solvers._seeds(table_ids),
+        lambda seed: solvers._schedule_for(seed, target),
+    )
+
+
 def test_replay_miss_names_a_broken_schedule():
     # the u123-main block-1 row subsumes 1^2 2^5 3, but its 1-grow
     # breaks the 2-point; without the stable row no entry is left
     ms = LengthMultiset.parse("1^2 2^5 3")
-    assert solvers._Row("u123-main")(ms) == (
+    assert _replay(("u123-main",), ms) == (
         "out_of_proven_range",
         {"why": "fixed schedule broke on u123-main block1"},
         None,
     )
-    assert solvers._Row("u145-a2")(ms)[1] == {"why": "no subsuming seed"}
+    assert _replay(("u145-a2",), ms)[1] == {"why": "no subsuming seed"}
     assert solve(ms).trace[0][1]["table"] == "stable"
+
+
+def test_swap_rows_skip_a_seed_that_breaks(monkeypatch):
+    # a seed whose swaps raise is skipped like a replay seed whose
+    # schedule breaks; with every seed skipped the swap rows answer
+    # with their fixed miss texts
+    def broken_swap(chain, x, i, k):
+        raise NotGrowableError("swap refused")
+
+    monkeypatch.setattr(growth._Chain, "swap", broken_swap)
+    for out, why in [
+        (solve_136(3, 18, 10), "no g-seed fits"),
+        (solve_1x2x(3, 21, 4, 4), "seed multiplicities not subsumed"),
+    ]:
+        assert out.status == "out_of_proven_range", why
+        assert out.trace == (("out_of_proven_range", {"why": why}),)
 
 
 def test_replay_trace_params_are_read_only():
