@@ -15,15 +15,16 @@ string, the external-theorem region it cites; or {a: row}, a choice by
 the number a of 1s that cites region A for any other a.  Only the two
 swap rows are functions: they check their proven range first.  Every row
 that grows seeds runs one engine, _grow_first, over (trace label,
-Certificate) pairs with a plan: _schedule_for grows each length in
-ascending order, and _swaps_for makes x/2x swaps, then x- and 1-grows.
+Certificate) pairs with a plan.  Both plans end in the per-length grow
+solver _grows: _schedule_for runs it over every length in ascending
+order, _swaps_for over x and 1 after the x/2x swaps the 2x deficit fixes.
 
   {1,2,3}, {1,4,5}, {2,3,4}  replay over the row's seed tables
   {1,3,4}, {1,2,3,4}         by a: replay when a = 1, or a = 2 over
                              {1,3,4}; else cited
   {1,2,4}, |U| <= 2          cited
   {1,3,6}                    swaps from the u136 g-seeds
-  {1,x,2x}, x >= 4           swaps from the residue seed
+  {1,x,2x}, x >= 4           swaps from the first residue seed that fits
   any other U                out_of_proven_range: no driver
 
 _route is the one reader of the table; it keys |U| <= 2 and every
@@ -120,78 +121,74 @@ def _answer(
     )
 
 
-def _schedule_for(seed: Certificate, target: dict[int, int]):
-    """The replay plan: grows taking the seed to the target, each x in
-    ascending order, or None if the seed does not subsume it."""
-    seed_counts = seed.multiset.counts()
+def _grows(seed: Certificate, have, target, lengths):
+    """The grows taking the counts have to target: for each length l in
+    order, (l, n) with n = (target - have)/l grows at the seed's
+    l-point; or None when a deficit is negative, is not a multiple of
+    l, or needs a point the seed lacks."""
     points = {gp.x for gp in seed.grow_points}
-    sched = []
-    for x in sorted(set(seed_counts) | set(target)):
-        d = target.get(x, 0) - seed_counts.get(x, 0)
-        if d < 0 or d % x:
+    grows = []
+    for l in lengths:
+        n, r = divmod(target.get(l, 0) - have.get(l, 0), l)
+        if n < 0 or r or (n and l not in points):
             return None
-        if d:
-            if x not in points:
-                return None
-            sched.append((x, d // x))
+        grows.append((l, n))
+    return grows
+
+
+def _schedule_for(seed: Certificate, target: dict[int, int]):
+    """The replay plan: _grows over every length in ascending order."""
+    have = seed.multiset.counts()
+    grows = _grows(seed, have, target, sorted(set(have) | set(target)))
+    if grows is None:
+        return None
+    sched = [(l, n) for l, n in grows if n]
     return "replay", {"schedule": sched}, (), sched
 
 
-def _mults(ms: LengthMultiset, *lengths: int) -> tuple[int, ...]:
-    counts = ms.counts()
-    return tuple(counts.get(l, 0) for l in lengths)
-
-
-def _swap_plan(seed_counts, target, x):
-    """Arithmetic for the swap plans: from seed multiplicities of
-    {1, x, 2x}, compute (i, full_swaps, x_grows, one_grows) reaching the
-    target multiplicities, or None."""
-    a1, b1, c1 = seed_counts
-    a, b, c = target
-    if a < a1 or c < c1 or (c - c1) % 2:
-        return None
-    full, i = divmod((c - c1) // 2, x)
-    b_after = b1 + (3 * x - 2 * i if i else 0) + x * full
-    if b < b_after or (b - b_after) % x:
-        return None
-    return i, full, (b - b_after) // x, a - a1
-
-
-def _swaps_for(seed: Certificate, target, x: int):
+def _swaps_for(seed: Certificate, target: dict[int, int], x: int):
     """The swap plan: one partial swap of i runs, every full swap in one
-    k-fold step, then x-grows and 1-grows, taking the seed to the target
-    multiplicities of {1, x, 2x}; or None."""
-    plan = _swap_plan(_mults(seed.multiset, 1, x, 2 * x), target, x)
-    if plan is None:
+    k-fold step, then _grows over (x, 1); or None.  A swap of i runs
+    adds 2i 2x's and 3x - 2i x's, so the 2x deficit alone fixes i and
+    the number of full swaps."""
+    have = seed.multiset.counts()
+    full, r = divmod(target.get(2 * x, 0) - have.get(2 * x, 0), 2 * x)
+    if full < 0 or r % 2:
         return None
-    i, full, x_grows, one_grows = plan
+    i = r // 2
+    have[x] = have.get(x, 0) + (3 * x - 2 * i if i else 0) + x * full
+    grows = _grows(seed, have, target, (x, 1))
+    if grows is None:
+        return None
+    (_, x_grows), (_, one_grows) = grows
     swaps = [(x, i, 1)] * (i > 0) + [(x, x, full)] * (full > 0)
     params = dict(i=i, full_swaps=full, x_grows=x_grows, one_grows=one_grows)
-    return "swap-pipeline", params, swaps, ((x, x_grows), (1, one_grows))
+    return "swap-pipeline", params, swaps, grows
 
 
 def _grow_first(seeds, plan, miss=None) -> Step:
     """Grow the first of the (label, seed) pairs that plan fits: plan(seed)
     gives the step name, its params, the swaps (x, i, k) and the grow
-    schedule, or None.  They run on one chain, so each answer is checked
-    by one Certificate, and a plan that grows nothing answers with the
-    seed itself.  A seed whose chain raises NotGrowableError is skipped.
-    When none works the step is out of range for miss; a replay row
-    passes no miss and names the first fitting seed that broke, if one
-    did."""
+    schedule, or None.  A plan with no swaps and no grows answers with
+    the seed itself; any other runs on one chain, checked by one
+    Certificate, and a seed whose chain raises NotGrowableError is
+    skipped.  When none works the step is out of range for miss; a
+    replay row passes no miss and names the first fitting seed that
+    broke, if one did."""
     broke = None
     for label, seed in seeds:
         fit = plan(seed)
         if fit is None:
             continue
         name, params, swaps, schedule = fit
+        if not swaps and not any(n for _, n in schedule):
+            return name, {**label, **params}, seed
         chain = _Chain(seed)
         try:
             for x, i, k in swaps:
                 chain.swap(x, i, k)
             chain.multi_grow(GrowthSchedule(tuple(schedule)))
-            grew = len(chain.trace) > len(seed.trace)
-            cert = chain.certify(name) if grew else seed
+            cert = chain.certify(name)
         except NotGrowableError:
             broke = broke or label
             continue
@@ -226,13 +223,14 @@ def solve_136(a: int, b: int, c: int) -> SolveOutcome:
 
 
 def _u136(ms) -> Step:
-    target = a, b, c = _mults(ms, 1, 3, 6)
+    a, b, c = (ms.multiplicity(l) for l in (1, 3, 6))
     bound = 13 + c // 2 if c % 2 == 0 else 18 + (c - 1) // 2
     if a < 1 or b < bound:
         return _OUT_OF_RANGE, {"why": f"need a >= 1 and b >= {bound}"}, None
     g_seeds = (
         ({"seed": label["variant"]}, seed) for label, seed in _seeds(_G_SEEDS)
     )
+    target = ms.counts()
     miss = "no g-seed fits"
     return _grow_first(g_seeds, lambda s: _swaps_for(s, target, 3), miss)
 
@@ -249,16 +247,15 @@ def solve_1x2x(a: int, b: int, c: int, x: int) -> SolveOutcome:
 
 
 def _u1x2x(ms, x) -> Step:
-    target = a, b, c = _mults(ms, 1, x, 2 * x)
+    a, b, c = (ms.multiplicity(l) for l in (1, x, 2 * x))
     if c % 2 or a < x - 2 or b < 5 * x - 2 + c // 2:
         why = f"need a >= {x - 2}, even c, b >= {5 * x - 2 + c // 2}"
         return _OUT_OF_RANGE, {"why": why}, None
-    i = (c % (2 * x)) // 2
-    seed = seed_for_residue(x, (b + 2 * i) % x)
-    # the residue-1 seed needs a' = x-1; an admissible instance always
-    # clears it, so a refusal means the instance slipped outside the
-    # argument
-    seeds = (({"seed_b": seed.multiset.multiplicity(x)}, seed),)
+    seeds = (
+        ({"seed_b": s.multiset.multiplicity(x)}, s)
+        for s in (seed_for_residue(x, r) for r in range(x))
+    )
+    target = ms.counts()
     miss = "seed multiplicities not subsumed"
     return _grow_first(seeds, lambda s: _swaps_for(s, target, x), miss)
 

@@ -607,15 +607,20 @@ def test_multi_grow_matches_chained_grows():
 
 def _composed_swap_pipeline(ms, x, seeds):
     """The swap pipeline as public operations, each certified: the
-    partial swap, the k-fold full swap, then the grows."""
-    target = solvers._mults(ms, 1, x, 2 * x)
+    partial swap, the k-fold full swap, then the grows.  The counts come
+    from the swap rule alone: a swap of i runs adds 3x - 2i x's and
+    2i 2x's, so a full swap (i = x) adds x x's and 2x 2x's."""
+    a, b, c = (ms.multiplicity(l) for l in (1, x, 2 * x))
     for seed in seeds:
-        plan = solvers._swap_plan(
-            solvers._mults(seed.multiset, 1, x, 2 * x), target, x
-        )
-        if plan is None:
+        a1, b1, c1 = (seed.multiset.multiplicity(l) for l in (1, x, 2 * x))
+        if c < c1 or (c - c1) % 2:
             continue
-        i, full, x_grows, one_grows = plan
+        full, i = divmod((c - c1) // 2, x)
+        b_swapped = b1 + (3 * x - 2 * i if i else 0) + x * full
+        x_grows, rest = divmod(b - b_swapped, x)
+        one_grows = a - a1
+        if x_grows < 0 or rest or one_grows < 0:
+            continue
         try:
             cert = x2x_swap(seed, x, i) if i else seed
             if full:

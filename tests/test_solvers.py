@@ -7,9 +7,11 @@ from bhr.core import (
     Certificate,
     LengthMultiset,
     NotGrowableError,
+    certificate,
     is_admissible,
     verify_realization,
 )
+from bhr.families import seed_for_residue
 from bhr.search import SearchConfig
 from bhr.solvers import hr_bound, solve, solve_136, solve_1x2x
 
@@ -192,11 +194,35 @@ def test_1x2x_examples():
 
 
 def test_1x2x_residue_forcing_is_inadmissible():
-    # when (b + 2i) = 1 mod x with a = x - 2, x divides v and the
+    # when (b + c) = 1 mod x with a = x - 2, x divides v and the
     # divisor count fails, so these parameters are never realizable
     for a, b, c, x in [(6, 39, 2, 8), (7, 48, 16, 9)]:
         out = solve_1x2x(a, b, c, x)
         assert out.status == "not_admissible", (a, b, c, x)
+
+
+def test_1x2x_first_fit_picks_the_residue_the_theorem_names():
+    # every swap adds 2i 2x's and 3x - 2i x's, so only the seed for
+    # residue (b + c) mod x can reach b; first fit over all x residue
+    # seeds must find exactly that one
+    checked = 0
+    for x in range(4, 13):
+        residue_seeds = [seed_for_residue(x, r) for r in range(x)]
+        for c in range(0, 4 * x + 1, 2):
+            b0 = 5 * x - 2 + c // 2
+            for b in range(b0, b0 + x):
+                for a in (x - 2, x - 1, x):
+                    ms = LengthMultiset.from_counts({1: a, x: b, 2 * x: c})
+                    if not is_admissible(ms).ok:
+                        continue
+                    target = ms.counts()
+                    fits = [
+                        r for r, seed in enumerate(residue_seeds)
+                        if solvers._swaps_for(seed, target, x)
+                    ]
+                    assert fits == [(b + c) % x], (a, b, c, x)
+                    checked += 1
+    assert checked == 3879
 
 
 def test_1x2x_out_of_range():
@@ -439,6 +465,33 @@ def test_swap_rows_skip_a_seed_that_breaks(monkeypatch):
     ]:
         assert out.status == "out_of_proven_range", why
         assert out.trace == (("out_of_proven_range", {"why": why}),)
+
+
+def test_swaps_for_refuses_a_seed_without_the_point_it_grows_at():
+    # g1 is 1^2 3^4; 1^3 3^13 needs one 1-grow and three 3-grows, so the
+    # plan refuses the seed without its 1-point before any chain is built
+    g1 = seeds.table("u136")[0].certificate
+    target = {1: 3, 3: 13}
+    assert solvers._swaps_for(g1, target, 3) is not None
+    no_one = certificate(
+        g1.path,
+        g1.multiset,
+        [gp for gp in g1.grow_points if gp.x != 1],
+        g1.trace,
+    )
+    assert solvers._swaps_for(no_one, target, 3) is None
+
+
+def test_a_plan_that_grows_nothing_answers_with_the_seed(monkeypatch):
+    def no_chain(seed):
+        raise AssertionError("a chain was built for a plan with no steps")
+
+    monkeypatch.setattr(solvers, "_Chain", no_chain)
+    out = solve(LengthMultiset.parse("1 2^2 3^3"))
+    assert out.certificate is seeds.table("u123-main")[0].certificate
+    assert out.trace == (
+        ("replay", {"table": "u123-main", "variant": "main", "schedule": []}),
+    )
 
 
 def test_replay_trace_params_are_read_only():

@@ -209,6 +209,19 @@ def growth_operations():
             yield repr(line).encode() + b"\n"
 
 
+# set name -> generator of its answer lines, in the order main() prints
+SETS = {
+    "criterion-4 solve": criterion_4,
+    "criterion-5 solve_1x2x": criterion_5,
+    "solve_136 grid": grid_136,
+    "solve() routes, fallback off and on": routes,
+    "families construct_1x": families,
+    "brute_force order <= 11": oracle,
+    "seed tables": seed_tables,
+    "growth operations": growth_operations,
+}
+
+
 def _expected() -> dict[str, str]:
     """Set name -> checked-in digest, from lines "digest  name"."""
     out = {}
@@ -221,19 +234,10 @@ def _expected() -> dict[str, str]:
 def main() -> int:
     expected = _expected()
     moved = []
-    for name, answers in (
-        ("criterion-4 solve", criterion_4()),
-        ("criterion-5 solve_1x2x", criterion_5()),
-        ("solve_136 grid", grid_136()),
-        ("solve() routes, fallback off and on", routes()),
-        ("families construct_1x", families()),
-        ("brute_force order <= 11", oracle()),
-        ("seed tables", seed_tables()),
-        ("growth operations", growth_operations()),
-    ):
+    for name, answers in SETS.items():
         digest = hashlib.sha256()
         count = 0
-        for line in answers:
+        for line in answers():
             digest.update(line)
             count += 1
         print(f"{digest.hexdigest()}  {count:6d}  {name}", flush=True)
