@@ -24,7 +24,7 @@ order, _swaps_for over x and 1 after the x/2x swaps the 2x deficit fixes.
                              {1,3,4}; else cited
   {1,2,4}, |U| <= 2          cited
   {1,3,6}                    swaps from the u136 g-seeds
-  {1,x,2x}, x >= 4           swaps from the first residue seed that fits
+  {1,x,2x}, x >= 4           swaps from the residue seed for b + c
   any other U                out_of_proven_range: no driver
 
 _route is the one reader of the table; it keys |U| <= 2 and every
@@ -251,10 +251,10 @@ def _u1x2x(ms, x) -> Step:
     if c % 2 or a < x - 2 or b < 5 * x - 2 + c // 2:
         why = f"need a >= {x - 2}, even c, b >= {5 * x - 2 + c // 2}"
         return _OUT_OF_RANGE, {"why": why}, None
-    seeds = (
-        ({"seed_b": s.multiset.multiplicity(x)}, s)
-        for s in (seed_for_residue(x, r) for r in range(x))
-    )
+    # a swap of i runs takes 2i from b mod x and adds 2i 2x's, so only
+    # the seed for (b + c) mod x can reach b
+    seed = seed_for_residue(x, (b + c) % x)
+    seeds = (({"seed_b": seed.multiset.multiplicity(x)}, seed),)
     target = ms.counts()
     miss = "seed multiplicities not subsumed"
     return _grow_first(seeds, lambda s: _swaps_for(s, target, x), miss)

@@ -201,10 +201,9 @@ def test_1x2x_residue_forcing_is_inadmissible():
         assert out.status == "not_admissible", (a, b, c, x)
 
 
-def test_1x2x_first_fit_picks_the_residue_the_theorem_names():
-    # every swap adds 2i 2x's and 3x - 2i x's, so only the seed for
-    # residue (b + c) mod x can reach b; first fit over all x residue
-    # seeds must find exactly that one
+def test_1x2x_only_the_residue_seed_for_b_plus_c_fits():
+    # every swap adds 2i 2x's and 3x - 2i x's, so of the x residue seeds
+    # only the one for (b + c) mod x, the one _u1x2x takes, can reach b
     checked = 0
     for x in range(4, 13):
         residue_seeds = [seed_for_residue(x, r) for r in range(x)]
