@@ -432,8 +432,8 @@ class Certificate:
     grow point, raising when one fails.  carried, an init-only argument,
     holds points brought over from an earlier path (a growth operation
     relocates its input's points): each is checked once, kept when it
-    holds and dropped when it fails.  Without declared points the kept
-    ones keep their order; with both, all points are sorted by (x, m).
+    holds and dropped when it fails.  Declared and kept points alike are
+    stored in one order, sorted by (x, m).
     """
 
     path: HamPath
@@ -452,15 +452,12 @@ class Certificate:
                 raise NotGrowableError(
                     f"declared grow point ({gp.x}, {gp.m}) fails"
                 )
-        if carried:
-            kept = tuple(
-                gp
-                for gp in carried
-                if gp not in declared
-                and is_growable_at(self.path, gp.x, gp.m)
-            )
-            points = tuple(sorted(declared + kept)) if declared else kept
-            object.__setattr__(self, "grow_points", points)
+        kept = tuple(
+            gp
+            for gp in carried
+            if gp not in declared and is_growable_at(self.path, gp.x, gp.m)
+        )
+        object.__setattr__(self, "grow_points", tuple(sorted(declared + kept)))
 
     def point_for(self, x: int) -> GrowPoint:
         for gp in self.grow_points:

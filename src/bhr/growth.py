@@ -16,16 +16,17 @@ _grown_vertices asks core.window_endpoints, which both decides that
 
 Grow-point bookkeeping: a known point (x', m') stays at m' if m' <= m
 and moves up by the number of inserted labels otherwise.  Steps run on
-an uncertified _Chain, which relocates the points without checking
-them; a later step that grows at one of them checks it then, in
-window_endpoints, and a step that finds no tracked point for its x
-raises.  Each operation is one chain step, multi_grow runs its whole
-schedule on one chain, and so does each answer the solvers grow.  A chain
-ends in one Certificate: it verifies the final path against the
-expected multiset, checks each relocated point once as a carried point,
-keeping those that hold and dropping those that fail, and raises if a
-point the operation declares itself fails.  A successful return is
-thus a proof that the whole chain is sound.
+an uncertified _Chain, plain data that relocates the points without
+checking them and adds to a count map and a trace list; a later step
+that grows at one of the points checks it then, in window_endpoints,
+and a step that finds no tracked point for its x raises.  Each
+operation is one chain step, multi_grow runs its whole schedule on one
+chain, and so does each answer the solvers grow.  A chain ends in one
+Certificate, built with the answer's one multiset and trace tuple: it
+verifies the final path, checks each relocated point once as a carried
+point, keeping those that hold and dropping those that fail, raises if
+a point the operation declares itself fails, and sorts the points by
+(x, m).  A successful return is thus a proof that the chain is sound.
 """
 
 from __future__ import annotations
@@ -146,18 +147,20 @@ def _grow_steps(x: int, m: int, k: int) -> tuple[tuple[str, Mapping], ...]:
 class _Chain:
     """Construction steps run from a Certificate, left uncertified.
 
-    The chain holds the current path, the multiset it should realize,
-    the trace and the relocated grow points.  A step builds its path
-    with _grown_vertices, which checks the one point it grows at, and
-    relocates the other points unchecked; certify() builds the one
-    Certificate of the whole chain.  Steps return the chain."""
+    The chain is plain data: the current path, a count map of the
+    lengths it should realize, a trace list and the relocated grow
+    points.  A step builds its path with _grown_vertices, which checks
+    the one point it grows at, adds its lengths to the map, extends the
+    list and relocates the other points unchecked; certify() builds the
+    answer's one LengthMultiset, trace tuple and Certificate.  Steps
+    return the chain."""
 
-    __slots__ = ("path", "expected", "trace", "grow_points")
+    __slots__ = ("path", "counts", "trace", "grow_points")
 
     def __init__(self, cert: Certificate):
         self.path = cert.path
-        self.expected = cert.multiset
-        self.trace = cert.trace
+        self.counts = cert.multiset.counts()
+        self.trace = list(cert.trace)
         self.grow_points = cert.grow_points
 
     # the first tracked x-point, or "certificate has no x-grow point"
@@ -167,19 +170,18 @@ class _Chain:
         """k grows at (x, m), runs replacing the arithmetic ones; added
         counts the lengths they add."""
         self.path = HamPath.of(_grown_vertices(self.path, x, m, k, runs))
-        counts = self.expected.counts()
+        counts = self.counts
         for length, count in added.items():
             counts[length] = counts.get(length, 0) + count
-        self.expected = LengthMultiset.from_counts(counts)
-        self.trace = self.trace + trace
+        self.trace.extend(trace)
         self.grow_points = _relocated(self.grow_points, m, k * x)
         return self
 
     def grow(self, x: int, m: int, k: int) -> "_Chain":
         return self.step(x, m, k, {x: k * x}, _grow_steps(x, m, k))
 
-    def multi_grow(self, schedule: GrowthSchedule) -> "_Chain":
-        for index, (x, count) in enumerate(schedule.steps):
+    def multi_grow(self, steps) -> "_Chain":
+        for index, (x, count) in enumerate(steps):
             if not count:
                 continue
             try:
@@ -218,14 +220,14 @@ class _Chain:
 
     def certify(self, op: str, declared=()) -> Certificate:
         """The one check of the chain: the Certificate verifies the path
-        against the expected multiset and every declared point, and
+        against the count map's multiset and every declared point, and
         keeps the carried points that hold.  A multiset mismatch means
         the construction does not apply to this input and is reported
         as NotGrowableError."""
         try:
             return Certificate(
-                self.path, self.expected, declared, self.trace,
-                self.grow_points,
+                self.path, LengthMultiset.from_counts(self.counts),
+                declared, tuple(self.trace), self.grow_points,
             )
         except PathError as exc:
             raise NotGrowableError(f"{op}: {exc}") from exc
@@ -256,7 +258,7 @@ def multi_grow(cert: Certificate, schedule: GrowthSchedule) -> Certificate:
     A schedule that grows nothing returns cert itself."""
     if not any(count for _, count in schedule.steps):
         return cert
-    return _Chain(cert).multi_grow(schedule).certify("multi_grow")
+    return _Chain(cert).multi_grow(schedule.steps).certify("multi_grow")
 
 
 def splice_perfect(cert: Certificate, k_real: HamPath) -> Certificate:
@@ -287,7 +289,7 @@ def even_grow(cert: Certificate, y: int, z: int) -> Certificate:
     y-growable at m+y-1 and z-growable at m+2y+z-2: these two points
     are declared, so the Certificate raises if one fails.  The input's
     points (the consumed 2-point included) are relocated and carried,
-    kept where they still hold, and all points are sorted by (x, m).
+    and kept where they still hold.
     """
     if y % 2 or z % 2:
         raise NotGrowableError("y and z must be even")

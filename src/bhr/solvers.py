@@ -48,7 +48,7 @@ from .core import (
     plain_params,
 )
 from .families import seed_for_residue
-from .growth import GrowthSchedule, _Chain
+from .growth import _Chain
 from .search import brute_force, local_search
 from . import seeds as seed_tables
 
@@ -168,8 +168,8 @@ def _swaps_for(seed: Certificate, target: dict[int, int], x: int):
 
 def _grow_first(seeds, plan, miss=None) -> Step:
     """Grow the first of the (label, seed) pairs that plan fits: plan(seed)
-    gives the step name, its params, the swaps (x, i, k) and the grow
-    schedule, or None.  A plan with no swaps and no grows answers with
+    gives the step name, its params, the swaps (x, i, k) and the grows
+    (x, count), or None.  A plan with no swaps and no grows answers with
     the seed itself; any other runs on one chain, checked by one
     Certificate, and a seed whose chain raises NotGrowableError is
     skipped.  When none works the step is out of range for miss; a
@@ -180,14 +180,14 @@ def _grow_first(seeds, plan, miss=None) -> Step:
         fit = plan(seed)
         if fit is None:
             continue
-        name, params, swaps, schedule = fit
-        if not swaps and not any(n for _, n in schedule):
+        name, params, swaps, grows = fit
+        if not swaps and not any(n for _, n in grows):
             return name, {**label, **params}, seed
         chain = _Chain(seed)
         try:
             for x, i, k in swaps:
                 chain.swap(x, i, k)
-            chain.multi_grow(GrowthSchedule(tuple(schedule)))
+            chain.multi_grow(grows)
             cert = chain.certify(name)
         except NotGrowableError:
             broke = broke or label

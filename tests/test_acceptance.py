@@ -1,5 +1,6 @@
 """Acceptance gate: one test per criterion, one PASS/FAIL line each."""
 
+import hashlib
 import random
 import time
 
@@ -20,11 +21,12 @@ from bhr.search import (
     DEFAULT_DEFINITIVE_CAP,
     SearchConfig,
     brute_force,
-    enumerate_admissible,
     sweep,
 )
 from bhr.solvers import hr_bound, solve, solve_1x2x
-from conftest import seed_row
+from conftest import load_tool, seed_row
+
+DIGEST_TOOL = load_tool("answer_digest")
 
 
 def _report(criterion: int, ok: bool, detail: str = ""):
@@ -124,19 +126,17 @@ def test_criterion_3_family_sweep():
 
 
 def test_criterion_4_driver_completeness():
+    """Every criterion-4 target is solved or searched in its cited
+    region, and the answers hash to the checked-in criterion-4 digest
+    of tools/answer_digest.py, so a path that moves fails."""
     start = time.monotonic()
-    seen = set()
-    targets = []
-    for v in range(2, 31):
-        for lengths in [(1, 2, 3), (1, 4, 5), (1, 2, 3, 4)]:
-            for ms in enumerate_admissible(v, lengths=lengths):
-                if ms not in seen:
-                    seen.add(ms)
-                    targets.append(ms)
-    solved = external = 0
+    digest = hashlib.sha256()
+    targets = solved = external = 0
     bad = []
-    for ms in targets:
+    for ms in DIGEST_TOOL.criterion_4_targets():
+        targets += 1
         out = solve(ms)
+        digest.update(DIGEST_TOOL._line(ms.items, out))
         if out.status == "solved":
             solved += 1
         elif (
@@ -154,11 +154,15 @@ def test_criterion_4_driver_completeness():
         ):
             bad.append((ms.format(), "verify"))
     elapsed = time.monotonic() - start
-    ok = not bad and elapsed < 120.0
+    pinned = (
+        digest.hexdigest() == DIGEST_TOOL._expected()["criterion-4 solve"]
+    )
+    ok = not bad and pinned and elapsed < 120.0
     _report(
         4,
         ok,
-        f"{solved} replayed + {external} external of {len(targets)}, "
+        f"{solved} replayed + {external} external of {targets}, "
+        f"digest {'pinned' if pinned else 'moved'}, "
         f"{elapsed:.1f}s, bad={bad[:3]}",
     )
 

@@ -255,6 +255,26 @@ def test_lengthening_does_not_depend_on_x():
         assert len(ms) == len(set(ms)), path
 
 
+def test_grow_points_take_the_one_x_their_label_lengthens():
+    """The x of a grow point at m is the number n of pairs that lengthen
+    at m, so trying that one n per label finds every grow point."""
+    from bhr.seeds import iter_seeds
+
+    rng = random.Random(0)
+    paths = [entry.path for entry in iter_seeds()]
+    for _ in range(100):
+        verts = list(range(rng.randint(4, 30)))
+        rng.shuffle(verts)
+        paths.append(HamPath.of(verts))
+    for path in paths:
+        one_x = []
+        for m in range(path.v):
+            n = len(lengthened_pairs(path, 1, m))
+            if 1 <= n <= path.v // 2 and is_growable_at(path, n, m):
+                one_x.append(GrowPoint(n, m))
+        assert growth_points(path) == sorted(one_x), path.vertices
+
+
 def _ref_window_endpoints(path, x, m):
     """The growability test as first written, from embed and edge_length:
     the window endpoint of each lengthened pair, or None."""

@@ -109,6 +109,16 @@ def test_grow_point_relocation_can_drop():
         grown.point_for(2)
 
 
+def test_points_are_sorted_whether_declared_or_carried():
+    """A Certificate keeps its points sorted by (x, m): those declared
+    out of order, and those a grow from it carries."""
+    row = seed_row("demo", "demo-15")
+    cert = certificate(row.path, row.multiset, [(3, 11), (1, 8)])
+    assert cert.grow_points == (GrowPoint(1, 8), GrowPoint(3, 11))
+    grown = grow(cert, 1, 8)
+    assert grown.grow_points == (GrowPoint(1, 8), GrowPoint(3, 12))
+
+
 def test_splice_perfect():
     base = _demo15()
     spliced = splice_perfect(base, HamPath.of([0, 2, 1, 3]))
@@ -417,12 +427,6 @@ def _outcome(fn, *args):
     return (c.path, c.grow_points, c.multiset, c.trace)
 
 
-def _with_point_first(cert, gp):
-    """cert declaring gp first, so that point_for(gp.x) tracks it."""
-    rest = tuple(p for p in cert.grow_points if p != gp)
-    return Certificate(cert.path, cert.multiset, (gp,) + rest, cert.trace)
-
-
 def _seed_certs():
     return [_cert(e) for e in seeds.iter_seeds() if e.declared_grow_points]
 
@@ -431,11 +435,12 @@ def test_k_fold_grow_matches_single_grows_on_every_seed():
     cases = 0
     for cert in _seed_certs():
         for gp in cert.grow_points:
-            start = _with_point_first(cert, gp)
+            # a seed row declares one point per x, so point_for tracks gp
+            assert cert.point_for(gp.x) == gp
             for k in range(1, 9):
-                want = _outcome(_ref_grow, start, gp.x, k)
-                got = _outcome(grow, start, gp.x, gp.m, k)
-                assert got == want, (start.path.vertices, gp, k)
+                want = _outcome(_ref_grow, cert, gp.x, k)
+                got = _outcome(grow, cert, gp.x, gp.m, k)
+                assert got == want, (cert.path.vertices, gp, k)
                 cases += 1
     assert cases > 2000
 

@@ -170,6 +170,24 @@ def test_brute_force_answers_orders_beyond_the_recursion_limit():
     assert from_depth(sys.getrecursionlimit() - 50 - depth) == want
 
 
+def test_brute_force_paths_start_at_zero_and_turn_low():
+    """Every path brute_force finds for a multiset of order <= 11 starts
+    at 0 with path[1] <= v/2, so pinning that symmetry (a rotation and a
+    reflection leave every cyclic length as it is) moves no answer."""
+    realized = 0
+    for v in range(2, 12):
+        lengths = range(1, v // 2 + 1)
+        for vec in _count_vectors(v - 1, len(lengths)):
+            ms = LengthMultiset.from_counts(dict(zip(lengths, vec)))
+            cert = brute_force(ms)
+            if cert is None:
+                continue
+            path = cert.path.vertices
+            assert path[0] == 0 and path[1] <= v // 2, (ms.format(), path)
+            realized += 1
+    assert realized == 1992
+
+
 def _reference_brute_force(ms):
     """The exhaustive search with every step range-checked: each length
     from edge_length, the remaining counts in a dict keyed by length.
