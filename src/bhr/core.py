@@ -490,12 +490,19 @@ class Certificate:
 def certificate(path, counts_or_ms, grow_points=(), trace=()) -> Certificate:
     """The one constructor from raw data: a vertex sequence, a count map
     or LengthMultiset, (x, m) pairs and (name, params) trace entries,
-    whose params are made read-only."""
+    whose params are made read-only.  Seed rows, family seeds, search
+    answers, to_dict documents and the CLI all build theirs here.  A
+    vertex sequence must hold ints: a float or bool label raises
+    PathError."""
     if isinstance(counts_or_ms, LengthMultiset):
         ms = counts_or_ms
     else:
         ms = LengthMultiset.from_counts(counts_or_ms)
     if not isinstance(path, HamPath):
+        for i, label in enumerate(path):
+            # bool is a subclass of int, so test the exact type
+            if type(label) is not int:
+                raise PathError(f"label {label!r} at index {i} is not an int")
         path = HamPath.of(path)
     gps = tuple(
         gp if isinstance(gp, GrowPoint) else GrowPoint(*gp)

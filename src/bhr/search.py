@@ -6,6 +6,9 @@ the multiset realized by a candidate path, moving through a 2-opt-style
 neighborhood: cut one path edge and reconnect the two fragments another
 way.  brute_force is a depth-first oracle with remaining-length pruning;
 it is exhaustive, so a None return is a definitive nonexistence verdict.
+find is the one search step of solve() and sweep: local_search, then
+brute_force when the order is within the cap.  Both build their answers
+with core.certificate.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ from .core import (
     HamPath,
     LengthMultiset,
     MultisetError,
+    certificate,
     cyclic_lengths,
     divisor_obstruction,
     divisor_table,
     is_admissible,
-    trace_params,
 )
 
 DEFAULT_BRUTE_CAP = 14
@@ -138,18 +141,8 @@ def local_search(
             else:
                 stagnant += 1
         if score == full:
-            return Certificate(
-                path=HamPath.of(current),
-                multiset=ms,
-                trace=(
-                    (
-                        "local_search",
-                        trace_params(
-                            seed=cfg.rng_seed, restart=restart, steps=steps
-                        ),
-                    ),
-                ),
-            )
+            params = dict(seed=cfg.rng_seed, restart=restart, steps=steps)
+            return certificate(current, ms, (), [("local_search", params)])
     return None
 
 
@@ -212,14 +205,25 @@ def brute_force(
             continue
         # a 1-vertex path is its own reversal
         if len(path) == v and (v == 1 or path[0] < path[-1]):
-            return Certificate(
-                path=HamPath.of(path),
-                multiset=ms,
-                trace=(("brute_force", trace_params(v=v)),),
-            )
+            return certificate(path, ms, (), [("brute_force", {"v": v})])
         # a full path leaves no vertex to try, so it steps back next
         tries.append(iter(range(v)))
     return None
+
+
+def find(
+    ms: LengthMultiset,
+    cfg: SearchConfig | None = None,
+    cap: int | None = None,
+) -> Certificate | None:
+    """local_search, then brute_force when ms.v is within cap
+    (DEFAULT_BRUTE_CAP when None).  None after brute_force ran is
+    definitive: ms has no realization."""
+    cap = DEFAULT_BRUTE_CAP if cap is None else cap
+    cert = local_search(ms, cfg)
+    if cert is None and ms.v <= cap:
+        cert = brute_force(ms, cap=cap)
+    return cert
 
 
 def enumerate_admissible(v: int, lengths=None):
@@ -261,12 +265,11 @@ def sweep(
 ) -> list[dict]:
     """Try to realize every admissible multiset of order up to v_max.
 
-    Runs local_search first and falls back to brute_force when it fits
-    under the cap.  With definitive=True, every unresolved multiset must
-    go through brute_force, so v_max may not exceed the definitive cap
-    and the unknown count is always zero.  Returns one report dict per
-    order: {v, admissible_count, realized, unrealizable, unknown,
-    seconds}, seconds being the order's wall time.
+    Runs find on each, under the cap.  With definitive=True, every
+    unresolved multiset must go through brute_force, so v_max may not
+    exceed the definitive cap and the unknown count is always zero.
+    Returns one report dict per order: {v, admissible_count, realized,
+    unrealizable, unknown, seconds}, seconds being the order's wall time.
     """
     if v_max < 2:
         raise ValueError("v_max must be at least 2")
@@ -281,16 +284,12 @@ def sweep(
         admissible = realized = unrealizable = unknown = 0
         for ms in enumerate_admissible(v):
             admissible += 1
-            cert = local_search(ms, cfg)
-            if cert is None and (definitive or v <= cap):
-                cert = brute_force(ms, cap=max(cap, v))
-                if cert is None:
-                    unrealizable += 1
-                    continue
-            if cert is None:
-                unknown += 1
-            else:
+            if find(ms, cfg, max(cap, v) if definitive else cap) is not None:
                 realized += 1
+            elif definitive or v <= cap:
+                unrealizable += 1
+            else:
+                unknown += 1
         reports.append(
             {
                 "v": v,

@@ -30,7 +30,7 @@ from .core import (
     GrowPoint,
     HamPath,
     LengthMultiset,
-    trace_params,
+    certificate,
 )
 
 
@@ -47,16 +47,9 @@ class SeedEntry:
         """The entry as a Certificate traced ("seed", {table, variant}),
         built and checked on first use and shared after that; raises
         PathError or NotGrowableError when the entry is unsound."""
-        return Certificate(
-            path=self.path,
-            multiset=self.multiset,
-            grow_points=self.declared_grow_points,
-            trace=(
-                (
-                    "seed",
-                    trace_params(table=self.table_id, variant=self.variant),
-                ),
-            ),
+        step = ("seed", {"table": self.table_id, "variant": self.variant})
+        return certificate(
+            self.path, self.multiset, self.declared_grow_points, [step]
         )
 
 

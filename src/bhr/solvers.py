@@ -6,8 +6,8 @@ driver step is (name, params, certificate or None).  A certificate is
 a solved answer.  A refusal names either the external-theorem region,
 which the theory cites from earlier work and which is always handled by
 search and flagged as such in the trace, or out_of_proven_range, which
-is searched only when fallback is requested.  The search runs
-local_search, then brute_force under brute_cap.
+is searched only when fallback is requested.  The search is
+search.find: local_search, then brute_force under brute_cap.
 
 solve() takes its driver from one table, _DRIVERS, by the underlying
 set U.  A row is data: a tuple of seed-table ids, replayed in order; a
@@ -49,7 +49,7 @@ from .core import (
 )
 from .families import seed_for_residue
 from .growth import _Chain
-from .search import brute_force, local_search
+from .search import find
 from . import seeds as seed_tables
 
 Trace = tuple[tuple[str, dict], ...]
@@ -108,12 +108,7 @@ def _answer(
         return SolveOutcome("solved", certificate=cert, trace=trace)
     if name == _OUT_OF_RANGE and not fallback:
         return SolveOutcome(_OUT_OF_RANGE, trace=trace)
-    cert = local_search(ms, cfg)
-    if cert is None:
-        try:
-            cert = brute_force(ms, cap=brute_cap)
-        except ValueError:
-            pass
+    cert = find(ms, cfg, brute_cap)
     return SolveOutcome(
         "search_fallback",
         certificate=cert,

@@ -517,7 +517,7 @@ def test_search_failure_exit_codes(capsys):
 
 
 def test_solve_exits_4_when_search_fails(capsys, monkeypatch):
-    monkeypatch.setattr(solvers, "local_search", lambda ms, cfg: None)
+    monkeypatch.setattr(search, "local_search", lambda ms, cfg: None)
     monkeypatch.setenv("BHR_BRUTE_CAP", "5")
     code, out, _ = run(capsys, "solve", "1^12")
     assert code == EXIT_SEARCH_FAILED

@@ -379,6 +379,18 @@ def test_certificate_rejects_lies():
         )
 
 
+def test_certificate_refuses_non_integer_labels():
+    # bool is a subclass of int and 2.0 == 2, so both would otherwise
+    # pass the permutation check
+    for path, ms, bad in (
+        ([0.0, 2.0, 1.0], "1^2", "0.0"),
+        ([False, True], "1", "False"),
+    ):
+        doc = {"schema": 1, "path": path, "multiset": ms, "grow_points": []}
+        with pytest.raises(PathError, match=f"^label {bad} at index 0 "):
+            Certificate.from_dict(doc)
+
+
 def test_certificate_point_for():
     cert = certificate(
         [6, 4, 3, 0, 7, 1, 5, 2, 8],

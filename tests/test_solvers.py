@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from bhr import growth, seeds, solvers
+from bhr import growth, search, seeds, solvers
 from bhr.core import (
     Certificate,
     LengthMultiset,
     NotGrowableError,
+    PathError,
     certificate,
     is_admissible,
     verify_realization,
@@ -296,7 +297,7 @@ def test_search_policy_per_refusal(fallback):
 def test_solve_brute_cap_bounds_the_exhaustive_step(monkeypatch):
     # with local_search refused, brute_force answers only when v is
     # within brute_cap
-    monkeypatch.setattr(solvers, "local_search", lambda ms, cfg: None)
+    monkeypatch.setattr(search, "local_search", lambda ms, cfg: None)
     ms = LengthMultiset.parse("3^6")  # v = 7, external region
     out = solve(ms, brute_cap=6)
     assert out.status == "search_fallback" and not out.ok
@@ -305,6 +306,18 @@ def test_solve_brute_cap_bounds_the_exhaustive_step(monkeypatch):
     assert out.status == "search_fallback" and out.ok
     assert out.trace[-1] == ("search", {"found": True})
     assert out.certificate.trace[0][0] == "brute_force"
+
+
+def test_solve_raises_when_a_search_certificate_fails(monkeypatch):
+    # a found path that fails its own Certificate is a fault, not a
+    # failed search
+    def broken(ms, cap=None):
+        raise PathError("certificate does not verify")
+
+    monkeypatch.setattr(search, "local_search", lambda ms, cfg: None)
+    monkeypatch.setattr(search, "brute_force", broken)
+    with pytest.raises(PathError):
+        solve(LengthMultiset.parse("3^6"))
 
 
 def test_solve_deterministic():
