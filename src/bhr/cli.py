@@ -30,7 +30,7 @@ from .core import (
     cyclic_lengths,
     growth_points,
     is_admissible,
-    plain_params,
+    plain_trace,
 )
 
 EXIT_OK = 0
@@ -53,8 +53,7 @@ def _default_brute_cap() -> int | None:
 
 
 def _json_path(data) -> HamPath:
-    # bool is a subclass of int, so test the exact type
-    if not isinstance(data, list) or not all(type(x) is int for x in data):
+    if not isinstance(data, list):
         raise PathError("path JSON must be a list of integers")
     return HamPath.of(data)
 
@@ -82,7 +81,7 @@ def _emit(args, payload: dict, *lines: str) -> None:
 
 
 def _trace_lines(trace) -> list[str]:
-    return [f"  {name} {plain_params(params)}" for name, params in trace]
+    return [f"  {name} {params}" for name, params in plain_trace(trace)]
 
 
 def _cert_lines(cert: Certificate) -> list[str]:

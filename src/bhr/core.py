@@ -43,21 +43,27 @@ class NotGrowableError(ValueError):
 
 @dataclass(frozen=True, order=True, slots=True)
 class GrowPoint:
-    """A pair (x, m): the path is x-growable at vertex label m."""
+    """A pair (x, m) of ints: the path is x-growable at vertex label m."""
 
     x: int
     m: int
 
+    def __post_init__(self):
+        if type(self.x) is not int or type(self.m) is not int:
+            raise NotGrowableError(f"{self!r} is not two ints")
+
 
 @dataclass(frozen=True, slots=True)
 class LengthMultiset:
-    """Multiset of edge lengths, stored as sorted (length, count) pairs."""
+    """Multiset of edge lengths: sorted (length, count) pairs of ints."""
 
     items: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         prev = 0
         for length, count in self.items:
+            if type(length) is not int or type(count) is not int:
+                raise MultisetError(f"item {(length, count)!r}: not two ints")
             if length < 1:
                 raise MultisetError(f"length {length} < 1")
             if count < 1:
@@ -132,18 +138,21 @@ class LengthMultiset:
 
 @dataclass(frozen=True, slots=True)
 class HamPath:
-    """A Hamiltonian path: a permutation of 0..v-1 in visiting order."""
+    """A Hamiltonian path: a permutation of 0..v-1 in visiting order.
+    Labels are exactly ints: a bool or 2.0 raises PathError too."""
 
     vertices: tuple[int, ...]
 
     def __post_init__(self):
-        v = len(self.vertices)
+        vs = self.vertices
+        if not set(map(type, vs)) <= {int}:
+            i = next(i for i, l in enumerate(vs) if type(l) is not int)
+            raise PathError(f"label {vs[i]!r} at index {i} is not an int")
+        v = len(vs)
         if v < 1:
             raise PathError("empty path")
-        if sorted(self.vertices) != list(range(v)):
-            raise PathError(
-                f"not a permutation of 0..{v - 1}: {_misfit(self.vertices)}"
-            )
+        if sorted(vs) != list(range(v)):
+            raise PathError(f"not a permutation of 0..{v - 1}: {_misfit(vs)}")
 
     @classmethod
     def of(cls, vertices) -> "HamPath":
@@ -411,10 +420,10 @@ def trace_params(**params) -> MappingProxyType:
     return MappingProxyType({k: _nested(v, tuple) for k, v in params.items()})
 
 
-def plain_params(params) -> dict:
-    """A trace entry's parameters as a fresh dict of plain lists, the
-    form that to_dict and the CLI print."""
-    return {k: _nested(v, list) for k, v in params.items()}
+def plain_trace(trace) -> list:
+    """A trace as fresh [name, params] lists, params as plain dicts of
+    plain lists: the form that to_dict and the CLI print."""
+    return [[n, {k: _nested(v, list) for k, v in p.items()}] for n, p in trace]
 
 
 def _nested(value, sequence):
@@ -471,9 +480,7 @@ class Certificate:
             "path": list(self.path.vertices),
             "multiset": self.multiset.format(),
             "grow_points": [[gp.x, gp.m] for gp in self.grow_points],
-            "trace": [
-                [name, plain_params(params)] for name, params in self.trace
-            ],
+            "trace": plain_trace(self.trace),
         }
 
     @classmethod
@@ -491,18 +498,13 @@ def certificate(path, counts_or_ms, grow_points=(), trace=()) -> Certificate:
     """The one constructor from raw data: a vertex sequence, a count map
     or LengthMultiset, (x, m) pairs and (name, params) trace entries,
     whose params are made read-only.  Seed rows, family seeds, search
-    answers, to_dict documents and the CLI all build theirs here.  A
-    vertex sequence must hold ints: a float or bool label raises
-    PathError."""
+    answers, to_dict documents and the CLI all build theirs here.  It
+    only converts; the value types refuse data that is not ints."""
     if isinstance(counts_or_ms, LengthMultiset):
         ms = counts_or_ms
     else:
         ms = LengthMultiset.from_counts(counts_or_ms)
     if not isinstance(path, HamPath):
-        for i, label in enumerate(path):
-            # bool is a subclass of int, so test the exact type
-            if type(label) is not int:
-                raise PathError(f"label {label!r} at index {i} is not an int")
         path = HamPath.of(path)
     gps = tuple(
         gp if isinstance(gp, GrowPoint) else GrowPoint(*gp)

@@ -53,13 +53,14 @@ from .core import (
 
 @dataclass(frozen=True)
 class GrowthSchedule:
-    """Ordered (x, count) steps; step i applies count grows with that x."""
+    """Ordered (x, count) steps; step i applies count grows with that x.
+    Both are ints, x >= 1 and count >= 0, else ValueError."""
 
     steps: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         for x, count in self.steps:
-            if x < 1 or count < 0:
+            if {type(x), type(count)} != {int} or x < 1 or count < 0:
                 raise ValueError(f"bad schedule step ({x}, {count})")
 
     @classmethod

@@ -45,7 +45,7 @@ from .core import (
     MultisetError,
     NotGrowableError,
     is_admissible,
-    plain_params,
+    plain_trace,
 )
 from .families import seed_for_residue
 from .growth import _Chain
@@ -84,9 +84,7 @@ class SolveOutcome:
             "admissibility": (
                 self.admissibility.describe() if self.admissibility else None
             ),
-            "trace": [
-                [name, plain_params(params)] for name, params in self.trace
-            ],
+            "trace": plain_trace(self.trace),
         }
 
 

@@ -416,6 +416,28 @@ def test_perf_grow_parts_validation(capsys, tmp_path):
         assert out == "" and err.startswith("error:"), bad
 
 
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        ("[[0], 1]", "label [0] at index 0 is not an int"),
+        ('[0, "1"]', "label '1' at index 1 is not an int"),
+    ],
+    ids=["list-label", "string-label"],
+)
+def test_non_int_labels_are_usage_errors(capsys, tmp_path, path, message):
+    # HamPath tests each label's type before it sorts them, so a list
+    # or a string among the labels is a usage error, not a TypeError
+    parts = tmp_path / "parts.json"
+    parts.write_text(f"[[0, 2, 1, 3], {path}, [0, 1, 2, 3]]")
+    for argv in (
+        ("verify", "--path", path, "--multiset", "1"),
+        ("perf-grow", "--path", G1, "--x", "3", "--parts", str(parts)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err == f"error: {message}\n", argv
+
+
 def test_perf_grow_rejects_x_below_one(capsys, tmp_path):
     parts = tmp_path / "parts.json"
     parts.write_text("[]")

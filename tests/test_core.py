@@ -30,6 +30,8 @@ from bhr.core import (
     verify_realization,
     window_endpoints,
 )
+from bhr.growth import GrowthSchedule, multi_grow
+from conftest import seed_row
 
 
 def test_multiset_parse_format_roundtrip():
@@ -92,7 +94,6 @@ def test_hampath_validation():
         ([0, 1, 1], "label 1 at index 2 is repeated"),
         ([0, 2], "label 2 at index 1 is out of range"),
         ([-1, 0], "label -1 at index 0 is out of range"),
-        ([0, 0.5], "label 1 is missing"),
     ):
         with pytest.raises(PathError) as info:
             HamPath.of(vertices)
@@ -379,16 +380,66 @@ def test_certificate_rejects_lies():
         )
 
 
-def test_certificate_refuses_non_integer_labels():
-    # bool is a subclass of int and 2.0 == 2, so both would otherwise
-    # pass the permutation check
-    for path, ms, bad in (
-        ([0.0, 2.0, 1.0], "1^2", "0.0"),
-        ([False, True], "1", "False"),
-    ):
-        doc = {"schema": 1, "path": path, "multiset": ms, "grow_points": []}
-        with pytest.raises(PathError, match=f"^label {bad} at index 0 "):
-            Certificate.from_dict(doc)
+def _demo15() -> Certificate:
+    return seed_row("demo", "demo-15").certificate
+
+
+def _doc(path, ms, points=()):
+    return {"schema": 1, "path": path, "multiset": ms, "grow_points": points}
+
+
+# Each value type refuses data that is not ints, whether it is built
+# directly, through certificate() or from a document.  bool is a
+# subclass of int and 2.0 == 2, so both would otherwise pass the
+# permutation and sortedness checks.
+NON_INT_CASES = [
+    ("path-str", lambda: HamPath.of(["a"]), PathError,
+     "label 'a' at index 0 is not an int"),
+    ("path-list", lambda: HamPath.of([[0], 1]), PathError,
+     "label [0] at index 0 is not an int"),
+    ("path-float", lambda: HamPath.of([0.0, 2.0, 1.0]), PathError,
+     "label 0.0 at index 0 is not an int"),
+    ("path-bool", lambda: HamPath.of([False, True]), PathError,
+     "label False at index 0 is not an int"),
+    ("path-half", lambda: HamPath.of([0, 0.5]), PathError,
+     "label 0.5 at index 1 is not an int"),
+    ("doc-path-float",
+     lambda: Certificate.from_dict(_doc([0.0, 2.0, 1.0], "1^2")),
+     PathError, "label 0.0 at index 0 is not an int"),
+    ("doc-path-bool", lambda: Certificate.from_dict(_doc([False, True], "1")),
+     PathError, "label False at index 0 is not an int"),
+    ("certificate-bool-length", lambda: certificate([0, 1], {True: 1}),
+     MultisetError, "item (True, 1): not two ints"),
+    ("certificate-float-count", lambda: certificate([0, 2, 1], {1: 2.0}),
+     MultisetError, "item (1, 2.0): not two ints"),
+    ("multiset-float-count", lambda: LengthMultiset.from_counts({1: 2.0}),
+     MultisetError, "item (1, 2.0): not two ints"),
+    ("certificate-bool-point",
+     lambda: certificate(_demo15().path, _demo15().multiset, [(True, 8)]),
+     NotGrowableError, "GrowPoint(x=True, m=8) is not two ints"),
+    ("doc-float-point",
+     lambda: Certificate.from_dict(_doc([0, 1], "1", [[1.0, 0]])),
+     NotGrowableError, "GrowPoint(x=1.0, m=0) is not two ints"),
+    ("point-float", lambda: GrowPoint(1.0, 0), NotGrowableError,
+     "GrowPoint(x=1.0, m=0) is not two ints"),
+    ("multi-grow-bool-step",
+     lambda: multi_grow(_demo15(), GrowthSchedule(((True, 2),))),
+     ValueError, "bad schedule step (True, 2)"),
+    ("schedule-float-step", lambda: GrowthSchedule(((1.0, 2),)), ValueError,
+     "bad schedule step (1.0, 2)"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [case[1:] for case in NON_INT_CASES],
+    ids=[case[0] for case in NON_INT_CASES],
+)
+def test_value_types_refuse_non_ints(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert isinstance(info.value, ValueError)
+    assert str(info.value) == message
 
 
 def test_certificate_point_for():
