@@ -499,16 +499,20 @@ def certificate(path, counts_or_ms, grow_points=(), trace=()) -> Certificate:
     or LengthMultiset, (x, m) pairs and (name, params) trace entries,
     whose params are made read-only.  Seed rows, family seeds, search
     answers, to_dict documents and the CLI all build theirs here.  It
-    only converts; the value types refuse data that is not ints."""
+    only converts, refusing a grow point that is not a list or tuple of
+    two; the value types refuse data that is not ints."""
     if isinstance(counts_or_ms, LengthMultiset):
         ms = counts_or_ms
     else:
         ms = LengthMultiset.from_counts(counts_or_ms)
     if not isinstance(path, HamPath):
         path = HamPath.of(path)
-    gps = tuple(
-        gp if isinstance(gp, GrowPoint) else GrowPoint(*gp)
-        for gp in grow_points
-    )
+    gps = []
+    for gp in grow_points:
+        if isinstance(gp, (list, tuple)) and len(gp) == 2:
+            gp = GrowPoint(*gp)
+        elif not isinstance(gp, GrowPoint):
+            raise NotGrowableError(f"grow point {gp!r} is not a pair")
+        gps.append(gp)
     steps = tuple((name, trace_params(**params)) for name, params in trace)
-    return Certificate(path, ms, gps, steps)
+    return Certificate(path, ms, tuple(gps), steps)

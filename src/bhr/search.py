@@ -45,15 +45,12 @@ class SearchConfig:
     max_steps_per_restart: int = 2000
 
     def __post_init__(self):
-        if self.max_restarts < 1:
-            raise ValueError("max_restarts must be positive")
-        if self.max_steps_per_restart < 1:
-            raise ValueError("max_steps_per_restart must be positive")
-
-
-def _overlap(target: dict[int, int], realized: dict[int, int]) -> int:
-    """|L intersect L'| as multisets."""
-    return sum(min(c, realized.get(l, 0)) for l, c in target.items())
+        for name in ("max_restarts", "max_steps_per_restart"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be positive")
 
 
 def _reconnect(vertices: list[int], i: int, which: int) -> list[int]:
@@ -84,25 +81,32 @@ def local_search(
 
     Deterministic for a fixed SearchConfig: restart r draws from
     random.Random(f"{rng_seed}:{r}"), and restarts are merged in index
-    order, so the answer does not depend on scheduling.  Lengths in the
-    loop are computed without range checks on the search's own
-    permutation of range(v); the final Certificate check is what guards
-    the returned path.  Returns a verified Certificate, or None when the
-    budget is exhausted.
+    order, so the answer does not depend on scheduling: one shuffle,
+    then one randrange and three random() per step.  The target and
+    current counts are lists indexed by length 0..v//2, built after the
+    admissibility check refuses longer lengths.  A step's length is
+    d if d <= v//2 else v - d, unchecked on the search's own permutation
+    of range(v); the final Certificate check guards the returned path.
+    Returns a verified Certificate, or None when the budget is spent.
     """
     cfg = cfg or SearchConfig()
     adm = is_admissible(ms)
     if not adm.ok:
         raise MultisetError(f"not admissible: {adm.describe()}")
     v = ms.v
-    target = ms.counts()
+    half = v // 2
+    target = [0] * (half + 1)
+    for l, c in ms.items:
+        target[l] = c
     full = ms.size
     for restart in range(cfg.max_restarts):
         rng = random.Random(f"{cfg.rng_seed}:{restart}")
         current = list(range(v))
         rng.shuffle(current)
-        counts = cyclic_lengths(HamPath.of(current)).counts()
-        score = _overlap(target, counts)
+        counts = [0] * (half + 1)
+        for l, c in cyclic_lengths(HamPath.of(current)).items:
+            counts[l] = c
+        score = sum(map(min, target, counts))
         stagnant = 0
         steps = 0
         while score < full and stagnant < cfg.max_steps_per_restart:
@@ -111,17 +115,17 @@ def local_search(
             x, y = current[i], current[i + 1]
             first, last = current[0], current[-1]
             d = abs(x - y)
-            removed = min(d, v - d)
+            removed = d if d <= half else v - d
             # each reconnection replaces only the cut edge, so its score
             # is an O(1) delta from the current one
-            base = score - (counts[removed] <= target.get(removed, 0))
+            base = score - (counts[removed] <= target[removed])
             ends = ((x, last), (first, y), (last, first))
             best = None
             for which, (p, q) in enumerate(ends):
                 d = abs(p - q)
-                added = min(d, v - d)
-                have = counts.get(added, 0) - (added == removed)
-                gain = have < target.get(added, 0)
+                added = d if d <= half else v - d
+                have = counts[added] - (added == removed)
+                gain = have < target[added]
                 # all three share the cut edge, so at equal score the
                 # deficit vectors differ only where a length is gained:
                 # the smaller gained length has the smaller vector
@@ -134,9 +138,7 @@ def local_search(
                 stagnant = stagnant + 1 if c_score == score else 0
                 current = _reconnect(current, i, which)
                 counts[removed] -= 1
-                if not counts[removed]:
-                    del counts[removed]
-                counts[added] = counts.get(added, 0) + 1
+                counts[added] += 1
                 score = c_score
             else:
                 stagnant += 1

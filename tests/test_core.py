@@ -422,6 +422,16 @@ NON_INT_CASES = [
      NotGrowableError, "GrowPoint(x=1.0, m=0) is not two ints"),
     ("point-float", lambda: GrowPoint(1.0, 0), NotGrowableError,
      "GrowPoint(x=1.0, m=0) is not two ints"),
+    # certificate() refuses a point that is not a pair before
+    # GrowPoint(*point) could raise TypeError
+    ("doc-point-short",
+     lambda: Certificate.from_dict(_doc([0, 1], "1", [[1]])),
+     NotGrowableError, "grow point [1] is not a pair"),
+    ("doc-point-int", lambda: Certificate.from_dict(_doc([0, 1], "1", [5])),
+     NotGrowableError, "grow point 5 is not a pair"),
+    ("doc-point-triple",
+     lambda: Certificate.from_dict(_doc([0, 1], "1", [[1, 2, 3]])),
+     NotGrowableError, "grow point [1, 2, 3] is not a pair"),
     ("multi-grow-bool-step",
      lambda: multi_grow(_demo15(), GrowthSchedule(((True, 2),))),
      ValueError, "bad schedule step (True, 2)"),

@@ -29,6 +29,22 @@ def test_config_validation():
         SearchConfig(max_steps_per_restart=-1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_restarts", 2.5),
+        ("max_steps_per_restart", "9"),
+        ("max_steps_per_restart", 2.5),
+        ("max_restarts", True),
+    ],
+)
+def test_config_budgets_must_be_ints(field, value):
+    # a float would fail later inside range() or be taken as a budget,
+    # a str would fail at the first comparison, and a bool is an int
+    with pytest.raises(ValueError, match=field):
+        SearchConfig(**{field: value})
+
+
 def test_local_search_finds_small_targets():
     for text in ["1^2 2 3^3", "2^2 3^4", "1^4", "1 2^2 3^4 4"]:
         ms = LengthMultiset.parse(text)
@@ -42,6 +58,17 @@ def test_local_search_finds_small_targets():
 def test_local_search_rejects_inadmissible():
     with pytest.raises(MultisetError):
         local_search(LengthMultiset.parse("5^3"), SearchConfig())
+
+
+def test_local_search_edge_orders():
+    # the admissibility check runs before the per-length lists are
+    # sized v//2 + 1, so a longer length is refused, not indexed
+    cfg = SearchConfig(rng_seed=0)
+    for text, want in [("1", (1, 0)), ("1^2", (1, 0, 2))]:
+        cert = local_search(LengthMultiset.parse(text), cfg)
+        assert cert.path.vertices == want, text
+    with pytest.raises(MultisetError):
+        local_search(LengthMultiset.parse("1^3 4"), cfg)
 
 
 def test_local_search_deterministic():
@@ -107,24 +134,31 @@ def _reference_search(ms, cfg):
 
 
 def test_local_search_matches_reference_tie_rule():
-    found = missed = 0
+    # a third of each sampled length set, then every multiset over all
+    # lengths 1..v//2 at v = 9 and 10, which reach the boundary of the
+    # length rule: d = 4 and d = 5 fold differently at v = 9, and edges
+    # of length exactly v/2 occur at v = 10
+    targets = []
     for lengths in [(1, 2, 3, 4), (1, 4, 5)]:
         for v in (8, 11, 14, 17, 20):
-            targets = list(enumerate_admissible(v, lengths=lengths))
-            for ms in targets[:: max(1, len(targets) // 3)]:
-                for seed in (0, 1, 2):
-                    cfg = SearchConfig(
-                        rng_seed=seed, max_restarts=2, max_steps_per_restart=30
-                    )
-                    want = _reference_search(ms, cfg)
-                    cert = local_search(ms, cfg)
-                    if want is None:
-                        assert cert is None, (ms.format(), seed)
-                        missed += 1
-                    else:
-                        got = (cert.path.vertices, cert.trace)
-                        assert got == want, (ms.format(), seed)
-                        found += 1
+            some = list(enumerate_admissible(v, lengths=lengths))
+            targets += some[:: max(1, len(some) // 3)]
+    targets += [*enumerate_admissible(9), *enumerate_admissible(10)]
+    found = missed = 0
+    for ms in targets:
+        for seed in (0, 1, 2):
+            cfg = SearchConfig(
+                rng_seed=seed, max_restarts=2, max_steps_per_restart=30
+            )
+            want = _reference_search(ms, cfg)
+            cert = local_search(ms, cfg)
+            if want is None:
+                assert cert is None, (ms.format(), seed)
+                missed += 1
+            else:
+                got = (cert.path.vertices, cert.trace)
+                assert got == want, (ms.format(), seed)
+                found += 1
     # both outcomes of the budget are exercised
     assert found and missed
 
