@@ -45,11 +45,13 @@ class SearchConfig:
     max_steps_per_restart: int = 2000
 
     def __post_init__(self):
-        for name in ("max_restarts", "max_steps_per_restart"):
+        # the seed string is f"{rng_seed}:{r}", so 1, 1.0 and True would
+        # compare equal as configs but seed different searches
+        for name in ("rng_seed", "max_restarts", "max_steps_per_restart"):
             value = getattr(self, name)
             if type(value) is not int:
                 raise ValueError(f"{name} must be an int, got {value!r}")
-            if value < 1:
+            if value < 1 and name != "rng_seed":
                 raise ValueError(f"{name} must be positive")
 
 
@@ -81,13 +83,16 @@ def local_search(
 
     Deterministic for a fixed SearchConfig: restart r draws from
     random.Random(f"{rng_seed}:{r}"), and restarts are merged in index
-    order, so the answer does not depend on scheduling: one shuffle,
-    then one randrange and three random() per step.  The target and
-    current counts are lists indexed by length 0..v//2, built after the
-    admissibility check refuses longer lengths.  A step's length is
-    d if d <= v//2 else v - d, unchecked on the search's own permutation
-    of range(v); the final Certificate check guards the returned path.
-    Returns a verified Certificate, or None when the budget is spent.
+    order, so the answer does not depend on scheduling.  A restart
+    draws one shuffle; each step then draws one randrange(v - 1) for
+    the cut and three random() for the tie-breaks of the reconnections
+    A + reversed(B), reversed(A) + B and B + A, in that order, and
+    keeps the first of equal keys.  The target and current counts are
+    lists indexed by length 0..v//2, built after the admissibility
+    check refuses longer lengths.  A step's length is d if d <= v//2
+    else v - d, unchecked on the search's own permutation of range(v);
+    the final Certificate check guards the returned path.  Returns a
+    verified Certificate, or None when the budget is spent.
     """
     cfg = cfg or SearchConfig()
     adm = is_admissible(ms)
@@ -99,8 +104,10 @@ def local_search(
     for l, c in ms.items:
         target[l] = c
     full = ms.size
+    patience = cfg.max_steps_per_restart
     for restart in range(cfg.max_restarts):
         rng = random.Random(f"{cfg.rng_seed}:{restart}")
+        randrange, rand = rng.randrange, rng.random
         current = list(range(v))
         rng.shuffle(current)
         counts = [0] * (half + 1)
@@ -109,36 +116,45 @@ def local_search(
         score = sum(map(min, target, counts))
         stagnant = 0
         steps = 0
-        while score < full and stagnant < cfg.max_steps_per_restart:
+        while score < full and stagnant < patience:
             steps += 1
-            i = rng.randrange(v - 1)
+            i = randrange(v - 1)
             x, y = current[i], current[i + 1]
             first, last = current[0], current[-1]
-            d = abs(x - y)
+            d = x - y if x > y else y - x
             removed = d if d <= half else v - d
             # each reconnection replaces only the cut edge, so its score
-            # is an O(1) delta from the current one
+            # is an O(1) delta from the current one; all three share the
+            # cut edge, so at equal score the deficit vectors differ only
+            # where a length is gained: the smaller gained length has the
+            # smaller vector
             base = score - (counts[removed] <= target[removed])
-            ends = ((x, last), (first, y), (last, first))
-            best = None
-            for which, (p, q) in enumerate(ends):
-                d = abs(p - q)
-                added = d if d <= half else v - d
-                have = counts[added] - (added == removed)
-                gain = have < target[added]
-                # all three share the cut edge, so at equal score the
-                # deficit vectors differ only where a length is gained:
-                # the smaller gained length has the smaller vector
-                key = (-(base + gain), added if gain else 0, rng.random())
-                if best is None or key < best[0]:
-                    best = (key, which, added)
-            (neg_score, _, _), which, added = best
-            c_score = -neg_score
+            # reconnection 0 adds the edge x -- last
+            d = x - last if x > last else last - x
+            added = d if d <= half else v - d
+            gain = counts[added] - (added == removed) < target[added]
+            best = (-(base + gain), added if gain else 0, rand())
+            which, best_added = 0, added
+            # reconnection 1 adds the edge first -- y
+            d = first - y if first > y else y - first
+            added = d if d <= half else v - d
+            gain = counts[added] - (added == removed) < target[added]
+            key = (-(base + gain), added if gain else 0, rand())
+            if key < best:
+                best, which, best_added = key, 1, added
+            # reconnection 2 adds the edge last -- first
+            d = last - first if last > first else first - last
+            added = d if d <= half else v - d
+            gain = counts[added] - (added == removed) < target[added]
+            key = (-(base + gain), added if gain else 0, rand())
+            if key < best:
+                best, which, best_added = key, 2, added
+            c_score = -best[0]
             if c_score >= score:
                 stagnant = stagnant + 1 if c_score == score else 0
                 current = _reconnect(current, i, which)
                 counts[removed] -= 1
-                counts[added] += 1
+                counts[best_added] += 1
                 score = c_score
             else:
                 stagnant += 1

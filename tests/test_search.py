@@ -23,6 +23,7 @@ from bhr.search import (
 
 def test_config_validation():
     SearchConfig()
+    SearchConfig(rng_seed=-3)
     with pytest.raises(ValueError):
         SearchConfig(max_restarts=0)
     with pytest.raises(ValueError):
@@ -36,11 +37,15 @@ def test_config_validation():
         ("max_steps_per_restart", "9"),
         ("max_steps_per_restart", 2.5),
         ("max_restarts", True),
+        ("rng_seed", 1.0),
+        ("rng_seed", True),
+        ("rng_seed", "1"),
     ],
 )
 def test_config_budgets_must_be_ints(field, value):
     # a float would fail later inside range() or be taken as a budget,
-    # a str would fail at the first comparison, and a bool is an int
+    # a str would fail at the first comparison, and a bool is an int;
+    # a seed of 1.0, True or "1" would seed or trace unlike the int 1
     with pytest.raises(ValueError, match=field):
         SearchConfig(**{field: value})
 
@@ -138,29 +143,41 @@ def test_local_search_matches_reference_tie_rule():
     # lengths 1..v//2 at v = 9 and 10, which reach the boundary of the
     # length rule: d = 4 and d = 5 fold differently at v = 9, and edges
     # of length exactly v/2 occur at v = 10
-    targets = []
+    short = dict(max_restarts=2, max_steps_per_restart=30)
+    cases = []
     for lengths in [(1, 2, 3, 4), (1, 4, 5)]:
         for v in (8, 11, 14, 17, 20):
             some = list(enumerate_admissible(v, lengths=lengths))
-            targets += some[:: max(1, len(some) // 3)]
-    targets += [*enumerate_admissible(9), *enumerate_admissible(10)]
-    found = missed = 0
-    for ms in targets:
-        for seed in (0, 1, 2):
-            cfg = SearchConfig(
-                rng_seed=seed, max_restarts=2, max_steps_per_restart=30
-            )
-            want = _reference_search(ms, cfg)
-            cert = local_search(ms, cfg)
-            if want is None:
-                assert cert is None, (ms.format(), seed)
-                missed += 1
-            else:
-                got = (cert.path.vertices, cert.trace)
-                assert got == want, (ms.format(), seed)
-                found += 1
-    # both outcomes of the budget are exercised
-    assert found and missed
+            for ms in some[:: max(1, len(some) // 3)]:
+                cases += [(ms, seed, short) for seed in (0, 1, 2)]
+    for ms in [*enumerate_admissible(9), *enumerate_admissible(10)]:
+        cases += [(ms, seed, short) for seed in (0, 1, 2)]
+    # orders whose v - 1 passes a power of two, with lengths at and
+    # next to v//2; the last one's budget runs out
+    long = dict(max_restarts=3, max_steps_per_restart=400)
+    for text in ["1^16 2^16", "1^8 5^8 16^16", "1^10 15^11 16^11"]:
+        cases += [(LengthMultiset.parse(text), seed, long) for seed in (0, 1)]
+    for text in [
+        "1^32 2^32",
+        "1^20 2^22 3^22",
+        "1^32 31^16 32^16",
+        "1^40 32^24",
+    ]:
+        cases.append((LengthMultiset.parse(text), 0, long))
+    seen = set()
+    for ms, seed, budget in cases:
+        cfg = SearchConfig(rng_seed=seed, **budget)
+        want = _reference_search(ms, cfg)
+        cert = local_search(ms, cfg)
+        if want is None:
+            assert cert is None, (ms.format(), seed)
+        else:
+            got = (cert.path.vertices, cert.trace)
+            assert got == want, (ms.format(), seed)
+        seen.add((ms.v, want is not None))
+    # both outcomes of the budget are exercised, also at v = 65
+    assert {(10, True), (10, False), (65, True), (65, False)} <= seen
+    assert (33, True) in seen
 
 
 def test_brute_force_realizes():
