@@ -11,13 +11,15 @@ search.find: local_search, then brute_force under brute_cap.
 
 solve() takes its driver from one table, _DRIVERS, by the underlying
 set U.  A row is data: a tuple of seed-table ids, replayed in order; a
-string, the external-theorem region it cites; or {a: row}, a choice by
-the number a of 1s that cites region A for any other a.  Only the two
-swap rows are functions: they check their proven range first.  Every row
-that grows seeds runs one engine, _grow_first, over (trace label,
-Certificate) pairs with a plan.  Both plans end in the per-length grow
-solver _grows: _schedule_for runs it over every length in ascending
-order, _swaps_for over x and 1 after the x/2x swaps the 2x deficit fixes.
+string, the external-theorem region it cites; {a: row}, a choice by
+the number a of 1s that cites region A for any other a; or a _Swap.
+Both swap rows share one range, a >= x - 2 and b >= 5x - 2 + c/2 for
+even c; only {1,3,6}'s g-seeds reach odd c, for b >= 18 + (c - 1)/2.
+Every row that grows seeds runs one engine, _grow_first, over (trace
+label, Certificate) pairs with a plan.  Both plans end in the
+per-length grow solver _grows: _schedule_for runs it over every length
+in ascending order, _swaps_for over x and 1 after the x/2x swaps the 2x
+deficit fixes.
 
   {1,2,3}, {1,4,5}, {2,3,4}  replay over the row's seed tables
   {1,3,4}, {1,2,3,4}         by a: replay when a = 1, or a = 2 over
@@ -28,9 +30,9 @@ order, _swaps_for over x and 1 after the x/2x swaps the 2x deficit fixes.
   any other U                out_of_proven_range: no driver
 
 _route is the one reader of the table; it keys |U| <= 2 and every
-{1,x,2x} by rule.  solve_136 and solve_1x2x run the swap drivers on
-the multiplicities they take, even with no 2x's, where solve() sees a
-set of size 2 and cites the region.
+{1,x,2x} by rule.  _swap is the swap rows' one step: _route runs it
+with x = U[1], and solve_136 and solve_1x2x with their own x, even with
+no 2x's, where solve() sees a set of size 2 and cites the region.
 """
 
 from __future__ import annotations
@@ -205,55 +207,52 @@ def _seeds(table_ids: tuple[str, ...]) -> tuple:
     )
 
 
-def solve_136(a: int, b: int, c: int) -> SolveOutcome:
-    """{1^a, 3^b, 6^c} via the g-seed swap plan.
+@dataclass(frozen=True, slots=True)
+class _Swap:
+    """A swap row of _DRIVERS: its seed tables, or () for the residue
+    seed for (b + c) mod x; its bound on b at c = 1, or None when odd c
+    is out of range; and its miss text."""
 
-    Proven range: a >= 1 and b >= 13 + c/2 (even c) or
-    b >= 18 + (c-1)/2 (odd c).
-    """
-    ms = LengthMultiset.from_counts({1: a, 3: b, 6: c})
-    return _answer(ms, _u136)
+    tables: tuple[str, ...]
+    odd: int | None
+    miss: str
 
 
-def _u136(ms) -> Step:
-    a, b, c = (ms.multiplicity(l) for l in (1, 3, 6))
-    bound = 13 + c // 2 if c % 2 == 0 else 18 + (c - 1) // 2
-    if a < 1 or b < bound:
-        return _OUT_OF_RANGE, {"why": f"need a >= 1 and b >= {bound}"}, None
-    g_seeds = (
-        ({"seed": label["variant"]}, seed) for label, seed in _seeds(_G_SEEDS)
-    )
+def _swap(ms, x: int, row: _Swap) -> Step:
+    """A swap row's step on {1^a, x^b, (2x)^c}, in range when a >= x - 2
+    and b >= 5x - 2 + c/2 for even c, row.odd + (c - 1)/2 for odd c."""
+    a, b, c = (ms.multiplicity(l) for l in (1, x, 2 * x))
+    bound = row.odd + c // 2 if c % 2 and row.odd else 5 * x - 2 + c // 2
+    if a < x - 2 or b < bound or c % 2 and not row.odd:
+        why = f"need a >= {x - 2}" + (" and" if row.odd else ", even c,")
+        return _OUT_OF_RANGE, {"why": f"{why} b >= {bound}"}, None
+    if row.tables:
+        seeds = (({"seed": t["variant"]}, s) for t, s in _seeds(row.tables))
+    else:
+        # a swap of i runs takes 2i from b mod x and adds 2i 2x's, so only
+        # the seed for (b + c) mod x can reach b
+        seed = seed_for_residue(x, (b + c) % x)
+        seeds = (({"seed_b": seed.multiset.multiplicity(x)}, seed),)
     target = ms.counts()
-    miss = "no g-seed fits"
-    return _grow_first(g_seeds, lambda s: _swaps_for(s, target, 3), miss)
+    return _grow_first(seeds, lambda s: _swaps_for(s, target, x), row.miss)
+
+
+def solve_136(a: int, b: int, c: int) -> SolveOutcome:
+    """{1^a, 3^b, 6^c} by the {1,3,6} swap row: proven for a >= 1 and
+    b >= 13 + c/2 (even c) or b >= 18 + (c - 1)/2 (odd c)."""
+    ms = LengthMultiset.from_counts({1: a, 3: b, 6: c})
+    return _answer(ms, lambda ms: _swap(ms, 3, _DRIVERS[1, 3, 6]))
 
 
 def solve_1x2x(a: int, b: int, c: int, x: int) -> SolveOutcome:
-    """{1^a, x^b, (2x)^c} for x >= 4 via residue seed plus swaps.
-
-    Proven range: a >= x-2, c even, b >= 5x - 2 + c/2.
-    """
+    """{1^a, x^b, (2x)^c} for x >= 4 by the {1,x,2x} swap row: proven
+    for a >= x - 2, even c and b >= 5x - 2 + c/2."""
     if x < 4:
         raise ValueError("solve_1x2x needs x >= 4")
     ms = LengthMultiset.from_counts({1: a, x: b, 2 * x: c})
-    return _answer(ms, lambda ms: _u1x2x(ms, x))
+    return _answer(ms, lambda ms: _swap(ms, x, _DRIVERS["{1,x,2x}"]))
 
 
-def _u1x2x(ms, x) -> Step:
-    a, b, c = (ms.multiplicity(l) for l in (1, x, 2 * x))
-    if c % 2 or a < x - 2 or b < 5 * x - 2 + c // 2:
-        why = f"need a >= {x - 2}, even c, b >= {5 * x - 2 + c // 2}"
-        return _OUT_OF_RANGE, {"why": why}, None
-    # a swap of i runs takes 2i from b mod x and adds 2i 2x's, so only
-    # the seed for (b + c) mod x can reach b
-    seed = seed_for_residue(x, (b + c) % x)
-    seeds = (({"seed_b": seed.multiset.multiplicity(x)}, seed),)
-    target = ms.counts()
-    miss = "seed multiplicities not subsumed"
-    return _grow_first(seeds, lambda s: _swaps_for(s, target, x), miss)
-
-
-_G_SEEDS = ("u136",)  # the seed tables _u136 swaps from
 _REGION_A = "a >= 3 or (a = 2, b >= 1) region"
 _U1234_A1 = ("u134", "u1234-beven", "u1234-bodd", "supplement", "stable")
 _DRIVERS = {
@@ -265,8 +264,8 @@ _DRIVERS = {
     (2, 3, 4): ("u234-bodd", "u234-beven", "inproof", "supplement"),
     (1, 3, 4): {1: _U1234_A1, 2: ("u1234-a2", "inproof", "supplement")},
     (1, 2, 3, 4): {1: _U1234_A1},
-    (1, 3, 6): _u136,
-    "{1,x,2x}": lambda ms: _u1x2x(ms, sorted(ms.underlying_set)[1]),
+    (1, 3, 6): _Swap(("u136",), 18, "no g-seed fits"),
+    "{1,x,2x}": _Swap((), None, "seed multiplicities not subsumed"),
     "|U| <= 2": "underlying set of size <= 2",
 }
 
@@ -276,10 +275,9 @@ def hr_bound(ms) -> int:
     multiset with underlying set U and size at least the bound is
     realizable.  The bound is 3 * max(U) - 5 + sum(U), independent of
     multiplicities."""
-    if isinstance(ms, LengthMultiset):
-        underlying = set(ms.underlying_set)
-    else:
-        underlying = set(ms)
+    if not isinstance(ms, LengthMultiset):
+        ms = LengthMultiset.from_lengths(ms)
+    underlying = ms.underlying_set
     if not underlying:
         raise MultisetError("empty underlying set")
     if 1 in underlying:
@@ -311,7 +309,7 @@ def _route(ms) -> Step:
         row = row.get(ms.multiplicity(1), _REGION_A)
     if isinstance(row, str):
         return _EXTERNAL, {"why": row}, None
-    if isinstance(row, tuple):
-        target = ms.counts()
-        return _grow_first(_seeds(row), lambda s: _schedule_for(s, target))
-    return row(ms)
+    if isinstance(row, _Swap):
+        return _swap(ms, u[1], row)
+    target = ms.counts()
+    return _grow_first(_seeds(row), lambda s: _schedule_for(s, target))

@@ -1,9 +1,10 @@
-"""The six fast sets of tools/answer_digest.py, hashed here and
+"""The seven fast sets of tools/answer_digest.py, hashed here and
 compared with the digests checked in beside it.  Both swap answer sets
 (the criterion-5 solve_1x2x grid and the solve_136 grid), every family
 seed construct_1x(x, b) with x <= 50, every brute_force answer of order
-<= 11, every seed-table row and the growth operations on every seed row
-are pinned this way, so a path that moves anywhere fails."""
+<= 11, every seed-table row, the growth operations on every seed row
+and both swap rows at their range bounds are pinned this way, so a
+path or a why text that moves anywhere fails."""
 
 import hashlib
 
@@ -19,6 +20,7 @@ FAST_SETS = [
     "brute_force order <= 11",
     "seed tables",
     "growth operations",
+    "swap rows at their bounds",
 ]
 
 

@@ -6,6 +6,7 @@ from bhr import growth, search, seeds, solvers
 from bhr.core import (
     Certificate,
     LengthMultiset,
+    MultisetError,
     NotGrowableError,
     PathError,
     certificate,
@@ -140,8 +141,11 @@ def test_solve_routes_each_underlying_set(monkeypatch):
 
 
 def _named_tables(row):
-    """The seed tables a row of the driver table names: a replay row's
-    own ids, and those of the rows a choice by the number of 1s holds."""
+    """The seed tables a row of the driver table names: a replay or swap
+    row's own ids, and those of the rows a choice by the number of 1s
+    holds."""
+    if isinstance(row, solvers._Swap):
+        row = row.tables
     if isinstance(row, tuple):
         return set(row)
     if isinstance(row, dict):
@@ -152,11 +156,14 @@ def _named_tables(row):
 def test_driver_table_names_the_registered_tables():
     # a misspelt id would otherwise raise only when a target reached its
     # row; every table but the demo one is some row's seed source, the
-    # g-seeds of the {1,3,6} driver included
+    # g-seeds of the {1,3,6} swap row included
     named = set().union(*map(_named_tables, solvers._DRIVERS.values()))
-    named |= set(solvers._G_SEEDS)
     assert named <= set(seeds.SEED_TABLES), named - set(seeds.SEED_TABLES)
     assert set(seeds.SEED_TABLES) - named == {"demo"}
+    # every row is data, down to the rows a choice by a holds
+    for row in solvers._DRIVERS.values():
+        inner = row.values() if isinstance(row, dict) else ()
+        assert not any(map(callable, (row, *inner))), row
 
 
 def test_136_worked_example():
@@ -180,9 +187,20 @@ def test_136_inadmissible():
     assert out.status == "not_admissible"
 
 
+def _why(out):
+    assert out.status == "out_of_proven_range"
+    return out.trace[0][1]["why"]
+
+
 def test_136_out_of_range():
     out = solve_136(2, 9, 1)
     assert out.status == "out_of_proven_range"
+    # one step below each bound: a >= 1; b >= 13 + c/2 for even c and
+    # 18 + (c - 1)/2 for odd c
+    assert _why(solve_136(0, 13, 0)) == "need a >= 1 and b >= 13"
+    assert _why(solve_136(2, 17, 1)) == "need a >= 1 and b >= 18"
+    ms = LengthMultiset.parse("1^3 3^17 6^11")
+    assert _why(solve(ms)) == "need a >= 1 and b >= 23"
     out = solve(LengthMultiset.from_counts({1: 2, 3: 9, 6: 1}), fallback=True)
     assert out.status == "search_fallback" and out.ok
 
@@ -204,7 +222,8 @@ def test_1x2x_residue_forcing_is_inadmissible():
 
 def test_1x2x_only_the_residue_seed_for_b_plus_c_fits():
     # every swap adds 2i 2x's and 3x - 2i x's, so of the x residue seeds
-    # only the one for (b + c) mod x, the one _u1x2x takes, can reach b
+    # only the one for (b + c) mod x, the one the {1,x,2x} row takes,
+    # can reach b
     checked = 0
     for x in range(4, 13):
         residue_seeds = [seed_for_residue(x, r) for r in range(x)]
@@ -226,10 +245,12 @@ def test_1x2x_only_the_residue_seed_for_b_plus_c_fits():
 
 
 def test_1x2x_out_of_range():
-    out = solve_1x2x(6, 38, 1, 8)  # odd c is open
-    assert out.status == "out_of_proven_range"
-    out = solve_1x2x(1, 40, 0, 8)  # a < x - 2
-    assert out.status == "out_of_proven_range"
+    # odd c is open; a < x - 2
+    for a, b, c in [(6, 38, 1), (1, 40, 0)]:
+        why = _why(solve_1x2x(a, b, c, 8))
+        assert why == "need a >= 6, even c, b >= 38", (a, b, c)
+    ms = LengthMultiset.parse("1^3 4^21 8^3")
+    assert _why(solve(ms)) == "need a >= 2, even c, b >= 19"
     with pytest.raises(ValueError):
         solve_1x2x(2, 20, 0, 3)
 
@@ -243,6 +264,10 @@ def test_hr_bound():
         hr_bound([1, 2])
     with pytest.raises(ValueError):
         hr_bound([])
+    # an iterable of lengths is checked as a multiset's lengths are
+    for bad in ([0, 3], [-2, 3], [2.5, 3], "23", [True, 3]):
+        with pytest.raises(MultisetError):
+            hr_bound(bad)
 
 
 def test_hr_bound_monotone_in_max():

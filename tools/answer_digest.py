@@ -29,11 +29,17 @@ copies of each of _PARTS; then splice_perfect with each of _PARTS at
 the row's 1-point and even_grow with (4, 4), (4, 6) and (6, 4) at its
 2-point.  Each is one line (table id, variant, operation, arguments,
 path, grow points, multiset items, certificate trace), or the name of
-the exception it raised in place of the last four.  So two checkouts
-that print the same digests gave the same answers from the same seeds
-and grew them the same way.  The criterion-4 set takes about as long as
-criterion 4 itself, which hashes its answers the same way and checks
-this digest.
+the exception it raised in place of the last four.  The ninth set is
+the swap rows at their bounds, with fallback off: for x = 3..8,
+a = 0..x and c = 0..6, b runs from 3 below the even-c bound
+5x - 2 + c/2 to 2 above it, or at x = 3 to 2 above 18 + c/2, the
+bound of {1,3,6}'s odd c.  Each target goes through its wrapper
+(solve_136 at x = 3, else solve_1x2x), one line keyed by (a, b, c, x),
+and then, when a and c are positive, through solve(), one line keyed by
+its multiset items.  So two checkouts that print the same digests gave
+the same answers from the same seeds and grew them the same way.  The
+criterion-4 set takes about as long as criterion 4 itself, which
+hashes its answers the same way and checks this digest.
 """
 
 from __future__ import annotations
@@ -118,6 +124,25 @@ def criterion_5():
 def grid_136():
     for key in _grid_136():
         yield _line(key, solve_136(*key))
+
+
+def _grid_swap_bounds():
+    for x in range(3, 9):
+        for a in range(x + 1):
+            for c in range(7):
+                lo = 5 * x - 2 + c // 2
+                hi = 18 + c // 2 if x == 3 else lo
+                for b in range(lo - 3, hi + 3):
+                    yield a, b, c, x
+
+
+def swap_bounds():
+    for a, b, c, x in _grid_swap_bounds():
+        out = solve_136(a, b, c) if x == 3 else solve_1x2x(a, b, c, x)
+        yield _line((a, b, c, x), out)
+        if a and c:
+            ms = LengthMultiset.from_counts({1: a, x: b, 2 * x: c})
+            yield _line(ms.items, solve(ms))
 
 
 def routes():
@@ -228,6 +253,7 @@ SETS = {
     "brute_force order <= 11": oracle,
     "seed tables": seed_tables,
     "growth operations": growth_operations,
+    "swap rows at their bounds": swap_bounds,
 }
 
 
