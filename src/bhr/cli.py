@@ -42,11 +42,11 @@ EXIT_VERIFY_FAILED = 5
 EXIT_PIPE_CLOSED = 141  # as a shell reports a process that SIGPIPE ended
 
 
-def _default_brute_cap() -> int | None:
-    """BHR_BRUTE_CAP, or None for search's own default."""
+def _default_brute_cap() -> int:
+    """BHR_BRUTE_CAP, or else search.DEFAULT_BRUTE_CAP."""
     raw = os.environ.get("BHR_BRUTE_CAP")
     try:
-        return int(raw) if raw else None
+        return int(raw) if raw else search.DEFAULT_BRUTE_CAP
     except ValueError:
         why = f"BHR_BRUTE_CAP must be an integer: {raw!r}"
         raise ValueError(why) from None
@@ -226,7 +226,13 @@ def cmd_oracle(args) -> Certificate | int:
 def cmd_sweep(args) -> int:
     cfg = search.SearchConfig(rng_seed=args.seed)
     cap = _default_brute_cap()
-    report = search.sweep(args.vmax, cfg, args.definitive, cap)
+    if args.definitive:
+        # lift the cap to v_max, so that no multiset is left unknown
+        limit = search.DEFAULT_DEFINITIVE_CAP
+        if args.vmax > limit:
+            raise ValueError(f"definitive sweep capped at v <= {limit}")
+        cap = max(cap, args.vmax)
+    report = search.sweep(args.vmax, cfg, cap)
     print(f"seed: {args.seed}", file=sys.stderr)
     row = (
         "v={v}: admissible={admissible_count} realized={realized} "

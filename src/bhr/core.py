@@ -76,12 +76,19 @@ class LengthMultiset:
 
     @classmethod
     def from_counts(cls, counts: dict[int, int]) -> "LengthMultiset":
-        return cls(tuple(sorted((l, c) for l, c in counts.items() if c)))
+        items = [(l, c) for l, c in counts.items() if c]
+        try:
+            items.sort()
+        except TypeError:  # mixed length types: __post_init__ names one
+            cls(tuple(item for item in items if type(item[0]) is not int))
+        return cls(tuple(items))
 
     @classmethod
     def from_lengths(cls, lengths) -> "LengthMultiset":
         counts: dict[int, int] = {}
         for l in lengths:
+            if type(l) is not int:  # before it is hashed as a key
+                raise MultisetError(f"length {l!r} is not an int")
             counts[l] = counts.get(l, 0) + 1
         return cls.from_counts(counts)
 

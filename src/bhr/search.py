@@ -7,8 +7,8 @@ neighborhood: cut one path edge and reconnect the two fragments another
 way.  brute_force is a depth-first oracle with remaining-length pruning;
 it is exhaustive, so a None return is a definitive nonexistence verdict.
 find is the one search step of solve() and sweep: local_search, then
-brute_force when the order is within the cap.  Both build their answers
-with core.certificate.
+brute_force up to the cap, the one bound on exhaustive search.  Both
+build their answers with core.certificate.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .core import (
 )
 
 DEFAULT_BRUTE_CAP = 14
+# the CLI's limit on `sweep --definitive`; criterion 6's necessity bound
 DEFAULT_DEFINITIVE_CAP = 12
 
 
@@ -165,7 +166,7 @@ def local_search(
 
 
 def brute_force(
-    ms: LengthMultiset, cap: int | None = None
+    ms: LengthMultiset, cap: int = DEFAULT_BRUTE_CAP
 ) -> Certificate | None:
     """Exhaustive depth-first search for a realization of ms.
 
@@ -183,10 +184,10 @@ def brute_force(
     Certificate, or None -- and None is definitive: ms has no
     realization.  Does not require admissibility, so it also serves as
     the necessity-direction oracle.  Raises ValueError for an order
-    above cap, its only refusal: the depth of the search is not bounded
-    by the interpreter's recursion limit.
+    above cap (DEFAULT_BRUTE_CAP unless given), its only refusal: the
+    depth of the search is not bounded by the interpreter's recursion
+    limit.
     """
-    cap = DEFAULT_BRUTE_CAP if cap is None else cap
     v = ms.v
     if v > cap:
         raise ValueError(f"v={v} exceeds brute-force cap {cap}")
@@ -232,12 +233,10 @@ def brute_force(
 def find(
     ms: LengthMultiset,
     cfg: SearchConfig | None = None,
-    cap: int | None = None,
+    cap: int = DEFAULT_BRUTE_CAP,
 ) -> Certificate | None:
-    """local_search, then brute_force when ms.v is within cap
-    (DEFAULT_BRUTE_CAP when None).  None after brute_force ran is
-    definitive: ms has no realization."""
-    cap = DEFAULT_BRUTE_CAP if cap is None else cap
+    """local_search, then brute_force when ms.v is within cap.  None
+    after brute_force ran is definitive: ms has no realization."""
     cert = local_search(ms, cfg)
     if cert is None and ms.v <= cap:
         cert = brute_force(ms, cap=cap)
@@ -278,44 +277,30 @@ def enumerate_admissible(v: int, lengths=None):
 def sweep(
     v_max: int,
     cfg: SearchConfig | None = None,
-    definitive: bool = False,
-    brute_cap: int | None = None,
+    brute_cap: int = DEFAULT_BRUTE_CAP,
 ) -> list[dict]:
     """Try to realize every admissible multiset of order up to v_max.
 
-    Runs find on each, under the cap.  With definitive=True, every
-    unresolved multiset must go through brute_force, so v_max may not
-    exceed the definitive cap and the unknown count is always zero.
-    Returns one report dict per order: {v, admissible_count, realized,
-    unrealizable, unknown, seconds}, seconds being the order's wall time.
+    Runs find on each under brute_cap, so an order within the cap is
+    definitive: each multiset there is realized or unrealizable, and
+    only orders above it count unknown ones.  Returns one report dict
+    per order: {v, admissible_count, realized, unrealizable, unknown,
+    seconds}, seconds being the order's wall time.
     """
     if v_max < 2:
         raise ValueError("v_max must be at least 2")
-    cap = DEFAULT_BRUTE_CAP if brute_cap is None else brute_cap
-    if definitive and v_max > DEFAULT_DEFINITIVE_CAP:
-        raise ValueError(
-            f"definitive sweep capped at v <= {DEFAULT_DEFINITIVE_CAP}"
-        )
     reports = []
     for v in range(2, v_max + 1):
         start = time.perf_counter()
-        admissible = realized = unrealizable = unknown = 0
-        for ms in enumerate_admissible(v):
-            admissible += 1
-            if find(ms, cfg, max(cap, v) if definitive else cap) is not None:
-                realized += 1
-            elif definitive or v <= cap:
-                unrealizable += 1
-            else:
-                unknown += 1
-        reports.append(
-            {
-                "v": v,
-                "admissible_count": admissible,
-                "realized": realized,
-                "unrealizable": unrealizable,
-                "unknown": unknown,
-                "seconds": time.perf_counter() - start,
-            }
+        row = dict(
+            v=v, admissible_count=0, realized=0, unrealizable=0, unknown=0
         )
+        # within the cap, find's None is definitive
+        miss = "unrealizable" if v <= brute_cap else "unknown"
+        for ms in enumerate_admissible(v):
+            row["admissible_count"] += 1
+            found = find(ms, cfg, brute_cap) is not None
+            row["realized" if found else miss] += 1
+        row["seconds"] = time.perf_counter() - start
+        reports.append(row)
     return reports

@@ -51,7 +51,7 @@ from .core import (
 )
 from .families import seed_for_residue
 from .growth import _Chain
-from .search import find
+from .search import DEFAULT_BRUTE_CAP, find
 from . import seeds as seed_tables
 
 Trace = tuple[tuple[str, dict], ...]
@@ -91,7 +91,8 @@ class SolveOutcome:
 
 
 def _answer(
-    ms: LengthMultiset, driver, fallback=False, cfg=None, brute_cap=None
+    ms: LengthMultiset, driver, fallback=False, cfg=None,
+    brute_cap=DEFAULT_BRUTE_CAP,
 ) -> SolveOutcome:
     """The outcome for ms: not_admissible, else driver(ms)'s step under
     the search policy of the module docstring."""
@@ -286,13 +287,12 @@ def hr_bound(ms) -> int:
 
 
 def solve(
-    ms: LengthMultiset, fallback=False, cfg=None, brute_cap=None
+    ms: LengthMultiset, fallback=False, cfg=None, brute_cap=DEFAULT_BRUTE_CAP
 ) -> SolveOutcome:
     """Check admissibility, then dispatch on ms's underlying set.
 
     fallback searches out_of_proven_range targets too; cfg is the
-    local_search budget and brute_cap the largest order brute_force
-    may then take (its default when None)."""
+    local_search budget, brute_cap the largest order brute_force takes."""
     return _answer(ms, _route, fallback, cfg, brute_cap)
 
 

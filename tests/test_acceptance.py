@@ -199,7 +199,7 @@ def test_criterion_5_theorem_57_desk_scale():
 
 def test_criterion_6_conjecture_sweep():
     start = time.monotonic()
-    rows = sweep(11, SearchConfig(rng_seed=0), definitive=True)
+    rows = sweep(11, SearchConfig(rng_seed=0))
     unrealizable = sum(r["unrealizable"] for r in rows)
     unknown = sum(r["unknown"] for r in rows)
 

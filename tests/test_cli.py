@@ -298,6 +298,14 @@ def test_sweep_honours_brute_cap_env(capsys, monkeypatch):
     assert sorted(set(orders)) == [2, 3, 4, 5]
     rows = json.loads(out)["report"]
     assert [r["unknown"] > 0 for r in rows] == [False] * 4 + [True] * 2
+    # --definitive lifts the cap to --vmax, so nothing is left unknown
+    orders.clear()
+    code, out, _ = run(
+        capsys, "sweep", "--vmax", "7", "--definitive", "--json"
+    )
+    assert code == EXIT_OK
+    assert sorted(set(orders)) == [2, 3, 4, 5, 6, 7]
+    assert [r["unknown"] for r in json.loads(out)["report"]] == [0] * 6
     monkeypatch.setenv("BHR_BRUTE_CAP", "abc")
     code, out, err = run(capsys, "sweep", "--vmax", "7")
     assert (code, out) == (EXIT_USAGE, "")

@@ -414,6 +414,20 @@ NON_INT_CASES = [
      MultisetError, "item (1, 2.0): not two ints"),
     ("multiset-float-count", lambda: LengthMultiset.from_counts({1: 2.0}),
      MultisetError, "item (1, 2.0): not two ints"),
+    # refused before sorted() compares a str or None with an int
+    ("multiset-mixed-keys",
+     lambda: LengthMultiset.from_counts({"a": 1, 2: 1}),
+     MultisetError, "item ('a', 1): not two ints"),
+    ("multiset-none-key",
+     lambda: LengthMultiset.from_counts({2: 1, None: 1}),
+     MultisetError, "item (None, 1): not two ints"),
+    # refused before an unhashable length is counted
+    ("lengths-str", lambda: LengthMultiset.from_lengths(["a", 3]),
+     MultisetError, "length 'a' is not an int"),
+    ("lengths-none", lambda: LengthMultiset.from_lengths([None, 3]),
+     MultisetError, "length None is not an int"),
+    ("lengths-list", lambda: LengthMultiset.from_lengths([[1], 3]),
+     MultisetError, "length [1] is not an int"),
     ("certificate-bool-point",
      lambda: certificate(_demo15().path, _demo15().multiset, [(True, 8)]),
      NotGrowableError, "GrowPoint(x=True, m=8) is not two ints"),

@@ -4,6 +4,7 @@ import traceback
 
 import pytest
 
+from bhr import search
 from bhr.core import (
     Admissibility,
     LengthMultiset,
@@ -395,12 +396,24 @@ def test_enumerate_admissible_matches_reference():
 
 
 def test_sweep_definitive_small():
-    rows = sweep(7, SearchConfig(rng_seed=0), definitive=True)
+    rows = sweep(7, SearchConfig(rng_seed=0))
     assert [r["v"] for r in rows] == [2, 3, 4, 5, 6, 7]
     for r in rows:
         assert r["unrealizable"] == 0
         assert r["unknown"] == 0
         assert r["realized"] == r["admissible_count"]
+
+
+def test_sweep_is_definitive_exactly_within_brute_cap(monkeypatch):
+    # with local_search refused, only brute_force realizes anything, and
+    # it runs exactly at the orders within the cap
+    monkeypatch.setattr(search, "local_search", lambda ms, cfg: None)
+    rows = sweep(7, SearchConfig(rng_seed=0), brute_cap=5)
+    assert [r["v"] for r in rows] == [2, 3, 4, 5, 6, 7]
+    assert [r["unknown"] > 0 for r in rows] == [False] * 4 + [True] * 2
+    for r in rows:
+        assert r["unrealizable"] == 0
+        assert r["realized"] + r["unknown"] == r["admissible_count"]
 
 
 def test_sweep_rejects_orders_below_two():

@@ -265,7 +265,11 @@ def test_hr_bound():
     with pytest.raises(ValueError):
         hr_bound([])
     # an iterable of lengths is checked as a multiset's lengths are
-    for bad in ([0, 3], [-2, 3], [2.5, 3], "23", [True, 3]):
+    # mixed types and unhashable lengths too, before sorting or counting
+    for bad in (
+        [0, 3], [-2, 3], [2.5, 3], "23", [True, 3],
+        ["a", 3], [None, 3], [[1], 3],
+    ):
         with pytest.raises(MultisetError):
             hr_bound(bad)
 
