@@ -76,7 +76,8 @@ class LengthMultiset:
 
     @classmethod
     def from_counts(cls, counts: dict[int, int]) -> "LengthMultiset":
-        items = [(l, c) for l, c in counts.items() if c]
+        # only an int zero is dropped: 0.0 or False stays, to be refused
+        items = [(l, c) for l, c in counts.items() if c or type(c) is not int]
         try:
             items.sort()
         except TypeError:  # mixed length types: __post_init__ names one

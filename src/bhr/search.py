@@ -85,15 +85,17 @@ def local_search(
     Deterministic for a fixed SearchConfig: restart r draws from
     random.Random(f"{rng_seed}:{r}"), and restarts are merged in index
     order, so the answer does not depend on scheduling.  A restart
-    draws one shuffle; each step then draws one randrange(v - 1) for
-    the cut and three random() for the tie-breaks of the reconnections
-    A + reversed(B), reversed(A) + B and B + A, in that order, and
-    keeps the first of equal keys.  The target and current counts are
-    lists indexed by length 0..v//2, built after the admissibility
-    check refuses longer lengths.  A step's length is d if d <= v//2
-    else v - d, unchecked on the search's own permutation of range(v);
-    the final Certificate check guards the returned path.  Returns a
-    verified Certificate, or None when the budget is spent.
+    draws one shuffle; each step then draws the cut as randrange(v - 1)
+    would, inlined as CPython draws it (getrandbits of the bit length of
+    v - 1, drawn again while out of range), and three random() for the
+    tie-breaks of the reconnections A + reversed(B), reversed(A) + B and
+    B + A, in that order, and keeps the first of equal keys.  The
+    target and current counts are lists indexed by length 0..v//2,
+    built after the admissibility check refuses longer lengths.  A
+    step's length is d if d <= v//2 else v - d, unchecked on the
+    search's own permutation of range(v); the final Certificate check
+    guards the returned path.  Returns a verified Certificate, or None
+    when the budget is spent.
     """
     cfg = cfg or SearchConfig()
     adm = is_admissible(ms)
@@ -106,9 +108,11 @@ def local_search(
         target[l] = c
     full = ms.size
     patience = cfg.max_steps_per_restart
+    cuts = v - 1
+    bits = cuts.bit_length()
     for restart in range(cfg.max_restarts):
         rng = random.Random(f"{cfg.rng_seed}:{restart}")
-        randrange, rand = rng.randrange, rng.random
+        getrandbits, rand = rng.getrandbits, rng.random
         current = list(range(v))
         rng.shuffle(current)
         counts = [0] * (half + 1)
@@ -119,7 +123,11 @@ def local_search(
         steps = 0
         while score < full and stagnant < patience:
             steps += 1
-            i = randrange(v - 1)
+            # randrange(cuts) as CPython draws it: bits random bits,
+            # drawn again while out of range
+            i = getrandbits(bits)
+            while i >= cuts:
+                i = getrandbits(bits)
             x, y = current[i], current[i + 1]
             first, last = current[0], current[-1]
             d = x - y if x > y else y - x

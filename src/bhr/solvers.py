@@ -19,7 +19,10 @@ Every row that grows seeds runs one engine, _grow_first, over (trace
 label, Certificate) pairs with a plan.  Both plans end in the
 per-length grow solver _grows: _schedule_for runs it over every length
 in ascending order, _swaps_for over x and 1 after the x/2x swaps the 2x
-deficit fixes.
+deficit fixes.  An l-grow adds l copies of l, so a replay seed fits only
+targets whose count of each length l is its own mod l: _residues indexes
+a row's seeds by that residue vector over U, and the replay runs
+_grow_first over the target's class alone.
 
   {1,2,3}, {1,4,5}, {2,3,4}  replay over the row's seed tables
   {1,3,4}, {1,2,3,4}         by a: replay when a = 1, or a = 2 over
@@ -170,7 +173,10 @@ def _grow_first(seeds, plan, miss=None) -> Step:
     Certificate, and a seed whose chain raises NotGrowableError is
     skipped.  When none works the step is out of range for miss; a
     replay row passes no miss and names the first fitting seed that
-    broke, if one did."""
+    broke, if one did.  A replay passes only the target's residue class
+    of its row's seeds (_residues): every other seed fails its plan, so
+    the first fit, the seed that broke and the miss are the same as over
+    the whole row."""
     broke = None
     for label, seed in seeds:
         fit = plan(seed)
@@ -206,6 +212,22 @@ def _seeds(table_ids: tuple[str, ...]) -> tuple:
         for tid in table_ids
         for entry in seed_tables.table(tid)
     )
+
+
+@cache
+def _residues(table_ids: tuple[str, ...], u: tuple[int, ...]) -> dict:
+    """A replay row's seeds for targets over U, by residue class: the
+    vector (count of l mod l for l in U) -> that class's (label, seed)
+    pairs in table order.  An l-grow adds l copies of l, so a seed can
+    only replay to a target of its own class; a seed with a length
+    outside U is left out, since its deficit there is negative."""
+    index: dict[tuple[int, ...], list] = {}
+    for label, seed in _seeds(table_ids):
+        have = seed.multiset.counts()
+        if have.keys() <= set(u):
+            key = tuple(have.get(l, 0) % l for l in u)
+            index.setdefault(key, []).append((label, seed))
+    return {key: tuple(pairs) for key, pairs in index.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,4 +334,5 @@ def _route(ms) -> Step:
     if isinstance(row, _Swap):
         return _swap(ms, u[1], row)
     target = ms.counts()
-    return _grow_first(_seeds(row), lambda s: _schedule_for(s, target))
+    bucket = _residues(row, u).get(tuple(target[l] % l for l in u), ())
+    return _grow_first(bucket, lambda s: _schedule_for(s, target))

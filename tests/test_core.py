@@ -71,6 +71,7 @@ def test_multiset_basics():
     assert ms.multiplicity(3) == 3
     assert ms.multiplicity(9) == 0
     assert ms == LengthMultiset.from_lengths([1, 1, 2, 3, 3, 3])
+    assert LengthMultiset.from_counts({1: 2, 2: 0}).items == ((1, 2),)
 
 
 def test_multiset_add_copies():
@@ -414,6 +415,15 @@ NON_INT_CASES = [
      MultisetError, "item (1, 2.0): not two ints"),
     ("multiset-float-count", lambda: LengthMultiset.from_counts({1: 2.0}),
      MultisetError, "item (1, 2.0): not two ints"),
+    # a zero count that is not an int is refused, not dropped
+    ("multiset-float-zero-count",
+     lambda: LengthMultiset.from_counts({1: 0.0}),
+     MultisetError, "item (1, 0.0): not two ints"),
+    ("multiset-bool-zero-count",
+     lambda: LengthMultiset.from_counts({1: False, 2: 1}),
+     MultisetError, "item (1, False): not two ints"),
+    ("certificate-float-zero-count", lambda: certificate([0], {1: 0.0}),
+     MultisetError, "item (1, 0.0): not two ints"),
     # refused before sorted() compares a str or None with an int
     ("multiset-mixed-keys",
      lambda: LengthMultiset.from_counts({"a": 1, 2: 1}),

@@ -181,6 +181,21 @@ def test_local_search_matches_reference_tie_rule():
     assert (33, True) in seen
 
 
+@pytest.mark.parametrize("seed", ["0:0", "1:7", "12:199"])
+def test_cut_draw_is_randrange(seed):
+    # local_search draws its cut as CPython's randrange(v - 1) does,
+    # inlined: a Python whose randrange draws otherwise fails here, not
+    # only in the answer digests
+    for n in range(1, 301):
+        inlined, plain = random.Random(seed), random.Random(seed)
+        bits = n.bit_length()
+        for _ in range(20):
+            i = inlined.getrandbits(bits)
+            while i >= n:
+                i = inlined.getrandbits(bits)
+            assert i == plain.randrange(n), (seed, n)
+
+
 def test_brute_force_realizes():
     ms = LengthMultiset.parse("1^2 2 3^3")
     cert = brute_force(ms)

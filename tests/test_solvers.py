@@ -14,7 +14,7 @@ from bhr.core import (
     verify_realization,
 )
 from bhr.families import seed_for_residue
-from bhr.search import SearchConfig
+from bhr.search import SearchConfig, enumerate_admissible
 from bhr.solvers import hr_bound, solve, solve_136, solve_1x2x
 
 
@@ -490,6 +490,86 @@ def test_replay_miss_names_a_broken_schedule():
     )
     assert _replay(("u145-a2",), ms)[1] == {"why": "no subsuming seed"}
     assert solve(ms).trace[0][1]["table"] == "stable"
+
+
+def _replay_row(ms):
+    """The seed tables of ms's row of the driver table when that row
+    replays, else None."""
+    row = solvers._DRIVERS.get(tuple(sorted(ms.underlying_set)))
+    if isinstance(row, dict):
+        row = row.get(ms.multiplicity(1))
+    return row if isinstance(row, tuple) else None
+
+
+def _replayed(sets, v_max):
+    """Every admissible multiset over the sets with v <= v_max, once
+    each, whose row of the driver table replays."""
+    seen = set()
+    for v in range(2, v_max + 1):
+        for lengths in sets:
+            for ms in enumerate_admissible(v, lengths=lengths):
+                if ms not in seen and _replay_row(ms):
+                    seen.add(ms)
+                    yield ms
+
+
+def _one_table_rows(j):
+    """The driver table with each replay row cut to its table j (mod the
+    row's length), so that replays miss and break."""
+
+    def cut(row):
+        if isinstance(row, dict):
+            return {a: cut(r) for a, r in row.items()}
+        return (row[j % len(row)],) if isinstance(row, tuple) else row
+
+    return {key: cut(row) for key, row in solvers._DRIVERS.items()}
+
+
+def test_replay_index_matches_a_linear_first_fit(monkeypatch):
+    # solve() looks a replay target up in its residue class only; the
+    # first fit over every seed of the row, in table order, must give the
+    # same step: trace params, path and miss text alike.  Every target of
+    # the real rows replays, so the rows cut to one table give the misses
+    replay_sets = [
+        key for key, row in solvers._DRIVERS.items()
+        if isinstance(row, (tuple, dict))
+    ]
+    tables = [(solvers._DRIVERS, 24)]
+    tables += [(_one_table_rows(j), 16) for j in range(6)]
+    statuses = set()
+    for drivers, v_max in tables:
+        monkeypatch.setattr(solvers, "_DRIVERS", drivers)
+        for ms in _replayed(replay_sets, v_max):
+            out = solve(ms)
+            name, params, cert = _replay(_replay_row(ms), ms)
+            assert out.trace == ((name, params),), ms.format()
+            if cert is None:
+                assert out.certificate is None, ms.format()
+            else:
+                assert out.certificate.path == cert.path, ms.format()
+            statuses.add((out.status, params.get("why", "")[:5]))
+    assert statuses == {
+        ("solved", ""),
+        ("out_of_proven_range", "no su"),
+        ("out_of_proven_range", "fixed"),
+    }
+
+
+def test_replay_targets_fit_few_schedules(monkeypatch):
+    # the v <= 20 driver set: a linear first fit called _schedule_for
+    # 25.8 times per replayed target, the residue index under 3
+    calls = []
+
+    def counting(seed, target):
+        calls.append(seed)
+        return schedule_for(seed, target)
+
+    schedule_for = solvers._schedule_for
+    monkeypatch.setattr(solvers, "_schedule_for", counting)
+    targets = list(_replayed([(1, 2, 3), (1, 4, 5), (1, 2, 3, 4)], 20))
+    for ms in targets:
+        solve(ms)
+    assert len(calls) <= 3 * len(targets), (len(calls), len(targets))
 
 
 def test_swap_rows_skip_a_seed_that_breaks(monkeypatch):

@@ -36,7 +36,11 @@ a = 0..x and c = 0..6, b runs from 3 below the even-c bound
 bound of {1,3,6}'s odd c.  Each target goes through its wrapper
 (solve_136 at x = 3, else solve_1x2x), one line keyed by (a, b, c, x),
 and then, when a and c are positive, through solve(), one line keyed by
-its multiset items.  So two checkouts that print the same digests gave
+its multiset items.  The tenth set is the replay rows at large v: for
+each replay row of solve()'s driver table (its U, and its number of 1s
+where the row is chosen by it), 300 admissible targets at orders
+log-uniform on 64..1,024, drawn from a Random seeded by the row, each
+through solve().  So two checkouts that print the same digests gave
 the same answers from the same seeds and grew them the same way.  The
 criterion-4 set takes about as long as criterion 4 itself, which
 hashes its answers the same way and checks this digest.
@@ -45,6 +49,8 @@ hashes its answers the same way and checks this digest.
 from __future__ import annotations
 
 import hashlib
+import math
+import random
 import sys
 from pathlib import Path
 
@@ -52,7 +58,7 @@ HERE = Path(__file__).resolve().parent
 EXPECTED = HERE / "answer_digests.txt"
 sys.path.insert(0, str(HERE.parent / "src"))
 
-from bhr.core import HamPath, LengthMultiset  # noqa: E402
+from bhr.core import HamPath, LengthMultiset, is_admissible  # noqa: E402
 from bhr.families import construct_1x  # noqa: E402
 from bhr.growth import (  # noqa: E402
     even_grow,
@@ -243,6 +249,46 @@ def growth_operations():
             yield repr(line).encode() + b"\n"
 
 
+# the replay rows of solve()'s driver table: U, and the number of 1s of
+# the rows chosen by it (None where any number replays)
+_REPLAY_ROWS = (
+    ((1, 2, 3), None),
+    ((1, 4, 5), None),
+    ((2, 3, 4), None),
+    ((1, 3, 4), 1),
+    ((1, 3, 4), 2),
+    ((1, 2, 3, 4), 1),
+)
+
+
+def _large_replay_targets(u, a, count=300):
+    """count admissible multisets over exactly u, with a 1s when a is
+    given, at orders log-uniform on 64..1,024, from a Random seeded by
+    the row."""
+    rng = random.Random(f"replay rows:{u}:{a}")
+    free = u[1:] if a else u
+    found = 0
+    while found < count:
+        v = round(math.exp(rng.uniform(math.log(64), math.log(1024))))
+        rest = v - 1 - (a or 0)
+        # len(free) positive counts summing to rest
+        cuts = sorted(rng.sample(range(1, rest), len(free) - 1))
+        parts = [y - x for x, y in zip([0, *cuts], [*cuts, rest])]
+        counts = dict(zip(free, parts))
+        if a:
+            counts[1] = a
+        ms = LengthMultiset.from_counts(counts)
+        if is_admissible(ms).ok:
+            found += 1
+            yield ms
+
+
+def replay_rows_large():
+    for u, a in _REPLAY_ROWS:
+        for ms in _large_replay_targets(u, a):
+            yield _line(ms.items, solve(ms))
+
+
 # set name -> generator of its answer lines, in the order main() prints
 SETS = {
     "criterion-4 solve": criterion_4,
@@ -254,6 +300,7 @@ SETS = {
     "seed tables": seed_tables,
     "growth operations": growth_operations,
     "swap rows at their bounds": swap_bounds,
+    "replay rows at large v": replay_rows_large,
 }
 
 
