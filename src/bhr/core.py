@@ -34,7 +34,8 @@ class MultisetError(ValueError):
 
 
 class PathError(ValueError):
-    """Sequence is not a valid Hamiltonian path on 0..v-1."""
+    """Sequence is not a valid Hamiltonian path on 0..v-1, or a
+    certificate's document or trace is malformed."""
 
 
 class NotGrowableError(ValueError):
@@ -96,6 +97,8 @@ class LengthMultiset:
     @classmethod
     def parse(cls, text: str) -> "LengthMultiset":
         """Parse the `len` / `len^mult` grammar, e.g. "1^4 2 3^8 4"."""
+        if not isinstance(text, str):
+            raise MultisetError(f"multiset text {text!r} is not a str")
         counts: dict[int, int] = {}
         tokens = text.split()
         if not tokens:
@@ -493,7 +496,20 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
-        """The certificate a to_dict document describes, checked anew."""
+        """The certificate a to_dict document describes, checked anew.
+
+        A document that is not a mapping, lacks path, multiset or
+        grow_points, or whose path, grow_points or trace is not a list
+        raises PathError; certificate() and the value types refuse
+        malformed entries, each with a ValueError subclass."""
+        if not isinstance(data, Mapping):
+            raise PathError(f"document is a {type(data).__name__}, not a dict")
+        for key in ("path", "multiset", "grow_points"):
+            if key not in data:
+                raise PathError(f"document has no {key!r}")
+        for key in ("path", "grow_points", "trace"):
+            if not isinstance(data.get(key, ()), (list, tuple)):
+                raise PathError(f"document {key} is not a list")
         return certificate(
             data["path"],
             LengthMultiset.parse(data["multiset"]),
@@ -508,7 +524,8 @@ def certificate(path, counts_or_ms, grow_points=(), trace=()) -> Certificate:
     whose params are made read-only.  Seed rows, family seeds, search
     answers, to_dict documents and the CLI all build theirs here.  It
     only converts, refusing a grow point that is not a list or tuple of
-    two; the value types refuse data that is not ints."""
+    two and a trace entry that is not a (str, mapping) pair; the value
+    types refuse data that is not ints."""
     if isinstance(counts_or_ms, LengthMultiset):
         ms = counts_or_ms
     else:
@@ -522,5 +539,16 @@ def certificate(path, counts_or_ms, grow_points=(), trace=()) -> Certificate:
         elif not isinstance(gp, GrowPoint):
             raise NotGrowableError(f"grow point {gp!r} is not a pair")
         gps.append(gp)
-    steps = tuple((name, trace_params(**params)) for name, params in trace)
-    return Certificate(path, ms, tuple(gps), steps)
+    steps = []
+    for entry in trace:
+        if not (
+            isinstance(entry, (list, tuple))
+            and len(entry) == 2
+            and isinstance(entry[0], str)
+            and isinstance(entry[1], Mapping)
+        ):
+            raise PathError(
+                f"trace entry {entry!r} is not a (name, mapping) pair"
+            )
+        steps.append((entry[0], trace_params(**entry[1])))
+    return Certificate(path, ms, tuple(gps), tuple(steps))

@@ -101,8 +101,6 @@ def _grown_vertices(
     the chain's Certificate checks the final path, and drops the
     relocated points that no longer hold.
     """
-    if k < 0:
-        raise ValueError(f"grow count k={k} must be nonnegative")
     ends = window_endpoints(path, x, m)
     if ends is None:
         raise NotGrowableError(f"path is not {x}-growable at {m}")
@@ -179,6 +177,10 @@ class _Chain:
         return self
 
     def grow(self, x: int, m: int, k: int) -> "_Chain":
+        # checked before k sizes the trace: a bool, a float or a
+        # negative count is refused, not taken as a count
+        if type(k) is not int or k < 0:
+            raise ValueError(f"grow count k={k!r} must be a nonnegative int")
         return self.step(x, m, k, {x: k * x}, _grow_steps(x, m, k))
 
     def multi_grow(self, steps) -> "_Chain":
@@ -207,6 +209,8 @@ class _Chain:
 
     def swap(self, x: int, i: int, k: int) -> "_Chain":
         """k x/2x swaps at the tracked x-point; see x2x_swap."""
+        if type(i) is not int or type(k) is not int:
+            raise ValueError(f"swap needs int i and k, got i={i!r}, k={k!r}")
         if x < 1:
             raise NotGrowableError(f"x must be positive, got {x}")
         if not (0 <= i <= x):
@@ -245,7 +249,8 @@ def grow(cert: Certificate, x: int, m: int, k: int = 1) -> Certificate:
     The result equals k single grows at the same point, built in one
     pass: the lengthened pairs are computed once, on the input path.
 
-    Growability at (x, m) is evaluated once, by _grown_vertices.  Known
+    k must be exactly a nonnegative int, else ValueError.  Growability
+    at (x, m) is evaluated once, by _grown_vertices.  Known
     grow points are relocated by kx and carried into the returned
     Certificate, which checks each once on the final path and drops
     those that fail.
@@ -328,7 +333,8 @@ def x2x_swap(cert: Certificate, x: int, i: int, k: int = 1) -> Certificate:
     perf_grow: i parts (0, 2, 1, 3, 5, 4, 6, ..., 3k) and x - i plain
     parts (0, 1, ..., 3k).  All 3k grows are built in one pass, and the
     result (path, grow points, multiset and trace) equals k single
-    swaps.  k = 0 returns the input's path and trace; k < 0 raises.
+    swaps.  k = 0 returns the input's path and trace; k < 0 raises, and
+    so does an i or k that is not exactly an int.
     """
     return _Chain(cert).swap(x, i, k).certify("x2x_swap")
 

@@ -20,11 +20,9 @@ from itertools import combinations, compress
 
 from .core import (
     Certificate,
-    HamPath,
     LengthMultiset,
     MultisetError,
     certificate,
-    cyclic_lengths,
     divisor_obstruction,
     divisor_table,
     is_admissible,
@@ -56,22 +54,6 @@ class SearchConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-def _reconnect(vertices: list[int], i: int, which: int) -> list[int]:
-    """Reconnection `which` after cutting the edge at position i.
-
-    Cutting between positions i and i+1 leaves fragments A and B; the
-    candidates are A + reversed(B), reversed(A) + B and B + A, each of
-    which replaces exactly the cut edge with one new edge: from
-    vertices[i] to vertices[-1], from vertices[0] to vertices[i + 1],
-    and from vertices[-1] to vertices[0] respectively."""
-    a, b = vertices[: i + 1], vertices[i + 1 :]
-    if which == 0:
-        return a + b[::-1]
-    if which == 1:
-        return a[::-1] + b
-    return b + a
-
-
 def local_search(
     ms: LengthMultiset, cfg: SearchConfig | None = None
 ) -> Certificate | None:
@@ -89,10 +71,15 @@ def local_search(
     would, inlined as CPython draws it (getrandbits of the bit length of
     v - 1, drawn again while out of range), and three random() for the
     tie-breaks of the reconnections A + reversed(B), reversed(A) + B and
-    B + A, in that order, and keeps the first of equal keys.  The
-    target and current counts are lists indexed by length 0..v//2,
-    built after the admissibility check refuses longer lengths.  A
-    step's length is d if d <= v//2 else v - d, unchecked on the
+    B + A, in that order.  It compares the candidates on scalars, gain
+    first (higher wins), then the length added when the step gains
+    (lower wins), then the draw (lower wins), and keeps the first of
+    equal keys: the order of the tuples (-score, gained length, draw).
+    An accepted move rewrites the path list in place, reversing one
+    fragment or rotating the two.  The target and current counts are
+    lists indexed by length 0..v//2, built after the admissibility
+    check refuses longer lengths; a restart counts its shuffle in one
+    pass.  A length is d if d <= v//2 else v - d, unchecked on the
     search's own permutation of range(v); the final Certificate check
     guards the returned path.  Returns a verified Certificate, or None
     when the budget is spent.
@@ -116,8 +103,9 @@ def local_search(
         current = list(range(v))
         rng.shuffle(current)
         counts = [0] * (half + 1)
-        for l, c in cyclic_lengths(HamPath.of(current)).items:
-            counts[l] = c
+        for x, y in zip(current, current[1:]):
+            d = x - y if x > y else y - x
+            counts[d if d <= half else v - d] += 1
         score = sum(map(min, target, counts))
         stagnant = 0
         steps = 0
@@ -140,30 +128,41 @@ def local_search(
             base = score - (counts[removed] <= target[removed])
             # reconnection 0 adds the edge x -- last
             d = x - last if x > last else last - x
-            added = d if d <= half else v - d
-            gain = counts[added] - (added == removed) < target[added]
-            best = (-(base + gain), added if gain else 0, rand())
-            which, best_added = 0, added
+            a0 = d if d <= half else v - d
+            g0 = counts[a0] - (a0 == removed) < target[a0]
             # reconnection 1 adds the edge first -- y
             d = first - y if first > y else y - first
-            added = d if d <= half else v - d
-            gain = counts[added] - (added == removed) < target[added]
-            key = (-(base + gain), added if gain else 0, rand())
-            if key < best:
-                best, which, best_added = key, 1, added
+            a1 = d if d <= half else v - d
+            g1 = counts[a1] - (a1 == removed) < target[a1]
             # reconnection 2 adds the edge last -- first
             d = last - first if last > first else first - last
-            added = d if d <= half else v - d
-            gain = counts[added] - (added == removed) < target[added]
-            key = (-(base + gain), added if gain else 0, rand())
-            if key < best:
-                best, which, best_added = key, 2, added
-            c_score = -best[0]
+            a2 = d if d <= half else v - d
+            g2 = counts[a2] - (a2 == removed) < target[a2]
+            r0, r1, r2 = rand(), rand(), rand()
+            # the least key (-(base + g), a if g else 0, r), the first
+            # of equal keys
+            which, gain, added, r = 0, g0, a0, r0
+            if g1 > gain or g1 == gain and (
+                a1 < added if gain and a1 != added else r1 < r
+            ):
+                which, gain, added, r = 1, g1, a1, r1
+            if g2 > gain or g2 == gain and (
+                a2 < added if gain and a2 != added else r2 < r
+            ):
+                which, gain, added = 2, g2, a2
+            c_score = base + gain
             if c_score >= score:
                 stagnant = stagnant + 1 if c_score == score else 0
-                current = _reconnect(current, i, which)
+                # A + reversed(B), reversed(A) + B or B + A, where
+                # A = current[:i + 1] and B = current[i + 1:]
+                if which == 0:
+                    current[i + 1 :] = current[:i:-1]
+                elif which == 1:
+                    current[: i + 1] = current[i::-1]
+                else:
+                    current = current[i + 1 :] + current[: i + 1]
                 counts[removed] -= 1
-                counts[best_added] += 1
+                counts[added] += 1
                 score = c_score
             else:
                 stagnant += 1
@@ -257,17 +256,24 @@ def enumerate_admissible(v: int, lengths=None):
     the count of the smallest length first, each count ascending.
 
     The optional restriction keeps enumeration tractable when only a
-    particular underlying-set family is of interest.  The divisor rule
-    lives in core: one divisor_table per call, tested on each count
-    vector with divisor_obstruction, as is_admissible does; a multiset
-    is built only for a vector that passes."""
+    particular underlying-set family is of interest.  An order or a
+    length that is not exactly an int raises ValueError when the first
+    item is drawn, as an order below 2 does.  The divisor rule lives in
+    core: one divisor_table per call, tested on each count vector with
+    divisor_obstruction, as is_admissible does; a multiset is built
+    only for a vector that passes."""
+    if type(v) is not int:
+        raise ValueError(f"v must be an int, got {v!r}")
     if v < 2:
         raise ValueError("v must be at least 2")
-    allowed = (
-        list(range(1, v // 2 + 1))
-        if lengths is None
-        else sorted({l for l in lengths if 1 <= l <= v // 2})
-    )
+    if lengths is None:
+        allowed = list(range(1, v // 2 + 1))
+    else:
+        lengths = list(lengths)
+        for l in lengths:
+            if type(l) is not int:
+                raise ValueError(f"length {l!r} is not an int")
+        allowed = sorted({l for l in lengths if 1 <= l <= v // 2})
     if not allowed:
         return
     table = divisor_table(v, allowed)
@@ -293,8 +299,11 @@ def sweep(
     definitive: each multiset there is realized or unrealizable, and
     only orders above it count unknown ones.  Returns one report dict
     per order: {v, admissible_count, realized, unrealizable, unknown,
-    seconds}, seconds being the order's wall time.
+    seconds}, seconds being the order's wall time.  A v_max that is not
+    exactly an int, or is below 2, raises ValueError.
     """
+    if type(v_max) is not int:
+        raise ValueError(f"v_max must be an int, got {v_max!r}")
     if v_max < 2:
         raise ValueError("v_max must be at least 2")
     reports = []

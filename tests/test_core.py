@@ -30,7 +30,7 @@ from bhr.core import (
     verify_realization,
     window_endpoints,
 )
-from bhr.growth import GrowthSchedule, multi_grow
+from bhr.growth import GrowthSchedule, grow, multi_grow, x2x_swap
 from conftest import seed_row
 
 
@@ -461,6 +461,40 @@ NON_INT_CASES = [
      ValueError, "bad schedule step (True, 2)"),
     ("schedule-float-step", lambda: GrowthSchedule(((1.0, 2),)), ValueError,
      "bad schedule step (1.0, 2)"),
+    # growth counts are exactly ints, as GrowthSchedule's are
+    ("swap-bool-i", lambda: x2x_swap(_demo15(), 3, True), ValueError,
+     "swap needs int i and k, got i=True, k=1"),
+    ("swap-float-k", lambda: x2x_swap(_demo15(), 3, 1, 1.5), ValueError,
+     "swap needs int i and k, got i=1, k=1.5"),
+    ("grow-bool-k", lambda: grow(_demo15(), 3, 11, True), ValueError,
+     "grow count k=True must be a nonnegative int"),
+    ("grow-float-k", lambda: grow(_demo15(), 1, 8, 1.5), ValueError,
+     "grow count k=1.5 must be a nonnegative int"),
+    # a malformed document or trace is refused, never a KeyError,
+    # AttributeError or TypeError
+    ("doc-empty", lambda: Certificate.from_dict({}), PathError,
+     "document has no 'path'"),
+    ("doc-list", lambda: Certificate.from_dict([[0, 1]]), PathError,
+     "document is a list, not a dict"),
+    ("doc-no-points",
+     lambda: Certificate.from_dict({"path": [0, 1], "multiset": "1"}),
+     PathError, "document has no 'grow_points'"),
+    ("doc-int-path", lambda: Certificate.from_dict(_doc(5, "1")), PathError,
+     "document path is not a list"),
+    ("doc-int-multiset", lambda: Certificate.from_dict(_doc([0, 1], 5)),
+     MultisetError, "multiset text 5 is not a str"),
+    ("doc-int-trace",
+     lambda: Certificate.from_dict({**_doc([0, 1], "1"), "trace": 5}),
+     PathError, "document trace is not a list"),
+    ("doc-int-trace-entry",
+     lambda: Certificate.from_dict({**_doc([0, 1], "1"), "trace": [1]}),
+     PathError, "trace entry 1 is not a (name, mapping) pair"),
+    ("doc-int-trace-params",
+     lambda: Certificate.from_dict({**_doc([0, 1], "1"), "trace": [["x", 5]]}),
+     PathError, "trace entry ['x', 5] is not a (name, mapping) pair"),
+    ("certificate-int-trace-name",
+     lambda: certificate([0, 1], {1: 1}, (), [(5, {})]),
+     PathError, "trace entry (5, {}) is not a (name, mapping) pair"),
 ]
 
 

@@ -431,6 +431,30 @@ def test_sweep_is_definitive_exactly_within_brute_cap(monkeypatch):
         assert r["realized"] + r["unknown"] == r["admissible_count"]
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: next(enumerate_admissible(6.0)), "v must be an int, got 6.0"),
+        (lambda: next(enumerate_admissible(True)),
+         "v must be an int, got True"),
+        (lambda: next(enumerate_admissible(6, ["a"])),
+         "length 'a' is not an int"),
+        (lambda: next(enumerate_admissible(6, (1, 2.0))),
+         "length 2.0 is not an int"),
+        (lambda: sweep(2.5), "v_max must be an int, got 2.5"),
+        (lambda: sweep("3"), "v_max must be an int, got '3'"),
+    ],
+    ids=["float-v", "bool-v", "str-length", "float-length", "float-v-max",
+         "str-v-max"],
+)
+def test_search_arguments_must_be_ints(call, message):
+    # refused as SearchConfig refuses its fields, not as a TypeError
+    # from range() or a comparison
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_sweep_rejects_orders_below_two():
     for v_max in (1, 0, -3):
         with pytest.raises(ValueError, match="v_max must be at least 2"):
