@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 from math import isqrt
 from types import MappingProxyType
 
@@ -229,18 +230,26 @@ def edge_length(a: int, b: int, v: int) -> int:
     return min(d, v - d)
 
 
-def cyclic_lengths(path: HamPath) -> LengthMultiset:
-    """Multiset of cyclic edge lengths along the path.
+def _length_counts(path: HamPath) -> list[int]:
+    """The path's count of each cyclic length, as a list indexed by
+    length 0..v//2 (slot 0 stays 0).
 
     A HamPath is a permutation of 0..v-1, so its pairs need none of
     edge_length's range and distinctness checks."""
     v = path.v
-    counts: dict[int, int] = {}
-    for a, b in path.pairs():
-        d = abs(a - b)
-        length = min(d, v - d)
-        counts[length] = counts.get(length, 0) + 1
-    return LengthMultiset.from_counts(counts)
+    half = v // 2
+    counts = [0] * (half + 1)
+    vs = path.vertices
+    for a, b in zip(vs, vs[1:]):
+        d = a - b if a > b else b - a
+        counts[d if d <= half else v - d] += 1
+    return counts
+
+
+def cyclic_lengths(path: HamPath) -> LengthMultiset:
+    """Multiset of cyclic edge lengths along the path."""
+    counts = _length_counts(path)
+    return LengthMultiset(tuple((l, c) for l, c in enumerate(counts) if c))
 
 
 def linear_diffs(path: HamPath) -> LengthMultiset:
@@ -262,7 +271,10 @@ def alternating_runs(first, n: int, step: int) -> list[int]:
     return out
 
 
-def divisor_table(v: int, lengths) -> list[tuple[int, int, list[int]]]:
+@lru_cache(maxsize=1024)
+def divisor_table(
+    v: int, lengths: tuple[int, ...]
+) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """The divisor condition at order v over lengths, each at most v/2.
 
     One row (d, v - d, positions) per divisor d > 1 of v that divides
@@ -271,7 +283,10 @@ def divisor_table(v: int, lengths) -> list[tuple[int, int, list[int]]]:
     v - d >= 0, so the walk tries d up to min(longest, sqrt(v)) and
     keeps d and v // d where each is at most the longest length.  A
     vector of counts aligned with lengths meets the condition when no
-    row is obstructed (see divisor_obstruction)."""
+    row is obstructed (see divisor_obstruction).
+
+    lengths is a tuple, the cache's key: the last 1024 tables are kept,
+    and each is nested tuples, so no caller can edit a shared one."""
     top = max(lengths)
     found = set()
     for d in range(2, min(top, isqrt(v)) + 1):
@@ -279,10 +294,10 @@ def divisor_table(v: int, lengths) -> list[tuple[int, int, list[int]]]:
             found.update(e for e in (d, v // d) if e <= top)
     table = []
     for d in sorted(found):
-        pos = [i for i, l in enumerate(lengths) if l % d == 0]
+        pos = tuple(i for i, l in enumerate(lengths) if l % d == 0)
         if pos:
             table.append((d, v - d, pos))
-    return table
+    return tuple(table)
 
 
 def divisor_obstruction(table, counts) -> tuple[int, int, int] | None:
@@ -298,10 +313,14 @@ def divisor_obstruction(table, counts) -> tuple[int, int, int] | None:
     return None
 
 
+_ADMISSIBLE = Admissibility(True)
+
+
 def is_admissible(ms: LengthMultiset) -> Admissibility:
     """Lengths at most v/2, then the divisor condition; the verdict
     names the first oversized length or else the smallest obstructing
-    divisor."""
+    divisor.  Every admissible multiset gets the one shared, frozen
+    Admissibility(True)."""
     if not ms.items:
         raise MultisetError("admissibility of the empty multiset is undefined")
     v = ms.v
@@ -313,7 +332,7 @@ def is_admissible(ms: LengthMultiset) -> Admissibility:
         return Admissibility(False, "oversized", length=length)
     hit = divisor_obstruction(divisor_table(v, lengths), counts)
     if hit is None:
-        return Admissibility(True)
+        return _ADMISSIBLE
     d, count, bound = hit
     return Admissibility(
         False, "divisor", divisor=d, count=count, bound=bound
@@ -321,22 +340,32 @@ def is_admissible(ms: LengthMultiset) -> Admissibility:
 
 
 def check_realization(path: HamPath, ms: LengthMultiset) -> tuple[bool, str]:
-    """Check path realizes ms; distinguishes order and multiset mismatches."""
+    """Check path realizes ms; distinguishes order and multiset mismatches.
+
+    One counting pass: with the orders equal, ms and the path both hold
+    v - 1 lengths, so the path realizes ms exactly when it has each
+    length of ms as often as ms does.  The realized counts are gathered
+    into a map only to name a mismatch."""
     if path.v != ms.v:
         return False, f"order mismatch: path has {path.v} vertices, need {ms.v}"
-    realized = cyclic_lengths(path)
-    if realized != ms:
-        # name one length, so the message stays short at any v
-        have, need = realized.counts(), ms.counts()
-        length = min(
-            l for l in have.keys() | need.keys()
-            if have.get(l, 0) != need.get(l, 0)
-        )
-        return False, (
-            f"multiset mismatch: path has count {have.get(length, 0)} "
-            f"of length {length}, need {need.get(length, 0)}"
-        )
-    return True, "ok"
+    counts = _length_counts(path)
+    half = len(counts) - 1
+    for length, count in ms.items:
+        if length > half or counts[length] != count:
+            break
+    else:
+        return True, "ok"
+    # name one length, so the message stays short at any v
+    have = {l: c for l, c in enumerate(counts) if c}
+    need = ms.counts()
+    length = min(
+        l for l in have.keys() | need.keys()
+        if have.get(l, 0) != need.get(l, 0)
+    )
+    return False, (
+        f"multiset mismatch: path has count {have.get(length, 0)} "
+        f"of length {length}, need {need.get(length, 0)}"
+    )
 
 
 def verify_realization(path: HamPath, ms: LengthMultiset) -> bool:
@@ -387,7 +416,13 @@ def window_endpoints(
     point.  The growth construction can only serve a lengthened edge
     through a single window endpoint, so an edge with both endpoints
     in the window rules growability out.
+
+    An x or m that is not exactly an int raises NotGrowableError before
+    the range checks: every grow, swap and growability test comes here,
+    so True, 8.0 and "1" never reach a path or a trace.
     """
+    if type(x) is not int or type(m) is not int:
+        raise NotGrowableError(f"x={x!r} and m={m!r} must be ints")
     v = path.v
     if not (0 < x <= v / 2):
         raise ValueError(f"x={x} out of range 0 < x <= v/2 for v={v}")
@@ -524,8 +559,9 @@ def certificate(path, counts_or_ms, grow_points=(), trace=()) -> Certificate:
     whose params are made read-only.  Seed rows, family seeds, search
     answers, to_dict documents and the CLI all build theirs here.  It
     only converts, refusing a grow point that is not a list or tuple of
-    two and a trace entry that is not a (str, mapping) pair; the value
-    types refuse data that is not ints."""
+    two and a trace entry that is not a (str, mapping) pair or whose
+    mapping has a key that is not a str; the value types refuse data
+    that is not ints."""
     if isinstance(counts_or_ms, LengthMultiset):
         ms = counts_or_ms
     else:
@@ -550,5 +586,10 @@ def certificate(path, counts_or_ms, grow_points=(), trace=()) -> Certificate:
             raise PathError(
                 f"trace entry {entry!r} is not a (name, mapping) pair"
             )
+        for key in entry[1]:
+            if not isinstance(key, str):
+                raise PathError(
+                    f"trace entry {entry[0]!r} has a non-str key {key!r}"
+                )
         steps.append((entry[0], trace_params(**entry[1])))
     return Certificate(path, ms, tuple(gps), tuple(steps))

@@ -295,8 +295,11 @@ def even_grow(cert: Certificate, y: int, z: int) -> Certificate:
     y-growable at m+y-1 and z-growable at m+2y+z-2: these two points
     are declared, so the Certificate raises if one fails.  The input's
     points (the consumed 2-point included) are relocated and carried,
-    and kept where they still hold.
+    and kept where they still hold.  A y or z that is not exactly an int
+    raises NotGrowableError before any run is built.
     """
+    if type(y) is not int or type(z) is not int:
+        raise NotGrowableError(f"y={y!r} and z={z!r} must be ints")
     if y % 2 or z % 2:
         raise NotGrowableError("y and z must be even")
     if y < 4 or z < 4:

@@ -54,6 +54,9 @@ class SearchConfig:
                 raise ValueError(f"{name} must be positive")
 
 
+_DEFAULT_CONFIG = SearchConfig()
+
+
 def local_search(
     ms: LengthMultiset, cfg: SearchConfig | None = None
 ) -> Certificate | None:
@@ -84,7 +87,7 @@ def local_search(
     guards the returned path.  Returns a verified Certificate, or None
     when the budget is spent.
     """
-    cfg = cfg or SearchConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     adm = is_admissible(ms)
     if not adm.ok:
         raise MultisetError(f"not admissible: {adm.describe()}")
@@ -259,21 +262,21 @@ def enumerate_admissible(v: int, lengths=None):
     particular underlying-set family is of interest.  An order or a
     length that is not exactly an int raises ValueError when the first
     item is drawn, as an order below 2 does.  The divisor rule lives in
-    core: one divisor_table per call, tested on each count vector with
-    divisor_obstruction, as is_admissible does; a multiset is built
-    only for a vector that passes."""
+    core: one (cached) divisor_table per call, tested on each count
+    vector with divisor_obstruction, as is_admissible does; a multiset
+    is built only for a vector that passes."""
     if type(v) is not int:
         raise ValueError(f"v must be an int, got {v!r}")
     if v < 2:
         raise ValueError("v must be at least 2")
     if lengths is None:
-        allowed = list(range(1, v // 2 + 1))
+        allowed = tuple(range(1, v // 2 + 1))
     else:
         lengths = list(lengths)
         for l in lengths:
             if type(l) is not int:
                 raise ValueError(f"length {l!r} is not an int")
-        allowed = sorted({l for l in lengths if 1 <= l <= v // 2})
+        allowed = tuple(sorted({l for l in lengths if 1 <= l <= v // 2}))
     if not allowed:
         return
     table = divisor_table(v, allowed)

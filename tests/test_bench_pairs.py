@@ -1,6 +1,7 @@
 """tools/bench_pairs.py's summary on canned perfbench results; no
 benchmark runs here."""
 
+import json
 import math
 
 from conftest import load_tool
@@ -45,3 +46,26 @@ def test_one_pair_has_no_spread_and_rows_format():
     assert header.split() == ["metric", "parent", "change", "ratio", "won",
                               "parent", "IQR"]
     assert line.split() == ["rate", "2", "1", "0.500", "0/1", "0"]
+
+
+def test_a_median_worse_than_its_bound_reads_as_worse():
+    """BENCHMARK.json bounds peak_rss_mb at 10% and targets_per_s at 25%
+    of the parent's median: +12% and -30% are worse beyond them, +5%
+    and -20% within, and better by any amount is within."""
+    bench = json.loads(TOOL.BENCHMARK.read_text())["end_to_end"]
+    better = {"peak_rss_mb": "lower", "targets_per_s": "higher"}
+    beyond = "WORSE than the parent beyond its bound"
+    for rss, rate, verdicts in [
+        (56.0, 700.0, (beyond, beyond)),
+        (52.5, 800.0, ("within its bound", "within its bound")),
+        (20.0, 5000.0, ("within its bound", "within its bound")),
+    ]:
+        pair = (
+            _result(peak_rss_mb=50.0, targets_per_s=1000.0),
+            _result(peak_rss_mb=rss, targets_per_s=rate),
+        )
+        rows = TOOL.summarize([pair], better)
+        assert TOOL.bound_lines(rows, bench) == [
+            f"peak_rss_mb: {verdicts[0]} of 10%",
+            f"targets_per_s: {verdicts[1]} of 25%",
+        ]

@@ -18,7 +18,9 @@ from bhr.core import (
     PathError,
     alternating_runs,
     certificate,
+    check_realization,
     cyclic_lengths,
+    divisor_table,
     edge_length,
     embed,
     growth_points,
@@ -30,7 +32,14 @@ from bhr.core import (
     verify_realization,
     window_endpoints,
 )
-from bhr.growth import GrowthSchedule, grow, multi_grow, x2x_swap
+from bhr.growth import (
+    GrowthSchedule,
+    even_grow,
+    grow,
+    multi_grow,
+    perf_grow,
+    x2x_swap,
+)
 from conftest import seed_row
 
 
@@ -175,6 +184,72 @@ def test_verify_realization():
     p = [0, 5, 1, 2, 6, 3, 4]
     assert verify_realization(HamPath.of(p), LengthMultiset.parse("1^2 2 3^3"))
     assert not verify_realization(HamPath.of(p), LengthMultiset.parse("1^6"))
+
+
+def _ref_check_realization(path, ms):
+    """check_realization spelled out: the path's lengths by edge_length
+    gathered into a second multiset, compared whole, and the least
+    length whose counts differ named."""
+    if path.v != ms.v:
+        return False, f"order mismatch: path has {path.v} vertices, need {ms.v}"
+    realized = LengthMultiset.from_lengths(
+        edge_length(a, b, path.v) for a, b in path.pairs()
+    )
+    if realized == ms:
+        return True, "ok"
+    have, need = realized.counts(), ms.counts()
+    length = min(
+        l for l in have.keys() | need.keys()
+        if have.get(l, 0) != need.get(l, 0)
+    )
+    return False, (
+        f"multiset mismatch: path has count {have.get(length, 0)} "
+        f"of length {length}, need {need.get(length, 0)}"
+    )
+
+
+def test_counted_check_matches_multiset_comparison():
+    """check_realization counts into a list and compares it with the
+    items; on random paths, v = 2..40, it must agree with comparing
+    whole multisets, message included, on the path's own multiset, one
+    count moved to another length, one moved above v/2, and one copy
+    more or fewer (the wrong order)."""
+    rng = random.Random(36)
+    for _ in range(400):
+        v = rng.randint(2, 40)
+        vs = list(range(v))
+        rng.shuffle(vs)
+        path = HamPath.of(vs)
+        own = cyclic_lengths(path).counts()
+        lengths = sorted(own)
+        half = v // 2
+        cases = [own]
+        moved = dict(own)
+        src = rng.choice(lengths)
+        moved[src] -= 1
+        if half > 1:
+            dst = rng.choice([l for l in range(1, half + 1) if l != src])
+            cases.append({**moved, dst: moved.get(dst, 0) + 1})
+        cases.append({**moved, half + rng.randint(1, 3): 1})
+        cases.append({**own, src: own[src] + 1})
+        if v > 2:
+            cases.append(moved)
+        for counts in cases:
+            ms = LengthMultiset.from_counts(counts)
+            got = check_realization(path, ms)
+            assert got == _ref_check_realization(path, ms), (vs, counts)
+            assert got[0] == (cyclic_lengths(path) == ms)
+            assert verify_realization(path, ms) == got[0]
+
+
+def test_divisor_table_is_nested_tuples_and_cached():
+    table = divisor_table(12, (1, 2, 3, 4, 6))
+    assert table == ((2, 10, (1, 3, 4)), (3, 9, (2, 4)), (4, 8, (3,)),
+                     (6, 6, (4,)))
+    assert type(table) is tuple
+    for row in table:
+        assert type(row) is tuple and type(row[2]) is tuple
+    assert divisor_table(12, (1, 2, 3, 4, 6)) is table
 
 
 def test_embed():
@@ -470,6 +545,18 @@ NON_INT_CASES = [
      "grow count k=True must be a nonnegative int"),
     ("grow-float-k", lambda: grow(_demo15(), 1, 8, 1.5), ValueError,
      "grow count k=1.5 must be a nonnegative int"),
+    # growth lengths and labels too: core.window_endpoints refuses them
+    # before any trace could carry them, even_grow before its runs
+    ("grow-bool-x", lambda: grow(_demo15(), True, 8), NotGrowableError,
+     "x=True and m=8 must be ints"),
+    ("grow-float-m", lambda: grow(_demo15(), 1, 8.0), NotGrowableError,
+     "x=1 and m=8.0 must be ints"),
+    ("swap-bool-x", lambda: x2x_swap(_demo15(), True, 0), NotGrowableError,
+     "x=True and m=8 must be ints"),
+    ("perf-grow-bool-x", lambda: perf_grow(_demo15(), True, [[0, 1]]),
+     NotGrowableError, "x=True and m=8 must be ints"),
+    ("even-grow-float-y", lambda: even_grow(_demo15(), 4.0, 4),
+     NotGrowableError, "y=4.0 and z=4 must be ints"),
     # a malformed document or trace is refused, never a KeyError,
     # AttributeError or TypeError
     ("doc-empty", lambda: Certificate.from_dict({}), PathError,
@@ -495,6 +582,10 @@ NON_INT_CASES = [
     ("certificate-int-trace-name",
      lambda: certificate([0, 1], {1: 1}, (), [(5, {})]),
      PathError, "trace entry (5, {}) is not a (name, mapping) pair"),
+    # refused before trace_params(**params) could raise TypeError
+    ("certificate-int-trace-key",
+     lambda: certificate([0, 1], {1: 1}, (), [("x", {1: 2})]),
+     PathError, "trace entry 'x' has a non-str key 1"),
 ]
 
 

@@ -13,8 +13,11 @@ perfbench/.
 For each end-to-end metric of BENCHMARK.json it prints both medians,
 the ratio of the change's median to the parent's, the pairs the change
 won (ties count for neither side) and the interquartile range of the
-parent's runs; then each side's failed and attempted targets.  Exits 1
-when a run reports a failed target, else 0.  Stdlib only.
+parent's runs; then, per metric, whether the change's median is worse
+than the parent's by more than the metric's bound, the fraction of the
+parent's median that BENCHMARK.json allows; then each side's failed
+and attempted targets.  Exits 1 when a run reports a failed target,
+else 0.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -78,6 +81,27 @@ def summarize(pairs, better: dict[str, str]) -> list[dict]:
     return rows
 
 
+def bound_lines(rows, end_to_end) -> list[str]:
+    """One verdict line per row: whether the change's median is worse
+    than the parent's by more than the metric's bound times the
+    parent's median, the bounds and directions read from end_to_end,
+    BENCHMARK.json's list of {name, better, bound}."""
+    spec = {m["name"]: m for m in end_to_end}
+    lines = []
+    for r in rows:
+        m = spec[r["metric"]]
+        worse = r["change"] - r["parent"]
+        if m["better"] == "higher":
+            worse = -worse
+        verdict = (
+            "WORSE than the parent beyond"
+            if worse > m["bound"] * abs(r["parent"])
+            else "within"
+        )
+        lines.append(f"{r['metric']}: {verdict} its bound of {m['bound']:.0%}")
+    return lines
+
+
 def format_rows(rows) -> list[str]:
     lines = [
         f"{'metric':<16}{'parent':>12}{'change':>12}{'ratio':>9}"
@@ -123,7 +147,8 @@ def main(argv=None) -> int:
             )
         pairs.append((result["parent"], result["change"]))
     print(f"{args.workload}, {args.pairs} pairs")
-    for line in format_rows(summarize(pairs, better)):
+    rows = summarize(pairs, better)
+    for line in format_rows(rows) + bound_lines(rows, bench["end_to_end"]):
         print(line)
     failed = 0
     for i, side in enumerate(("parent", "change")):
